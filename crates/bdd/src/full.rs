@@ -6,7 +6,7 @@
 //! why the paper reports DNF for this baseline on all large datasets
 //! (Figure 3); the `node_limit` makes that failure mode explicit and safe.
 
-use crate::frontier::{FrontierMachine, MergeRule, Scratch, State, Transition};
+use crate::frontier::{FrontierMachine, LayerArena, Lookup, MergeRule, Scratch, Transition};
 use netrel_numeric::NeumaierSum;
 use netrel_ugraph::ordering::EdgeOrder;
 use netrel_ugraph::{EdgeId, GraphError, UncertainGraph, VertexId};
@@ -92,7 +92,7 @@ pub struct FullBdd {
     pub reliability: f64,
     /// Total node count (the paper's BDD "size").
     pub node_count: usize,
-    /// Peak bytes held in state keys during construction.
+    /// Peak bytes held by the two layer arenas during construction.
     pub peak_state_bytes: usize,
 }
 
@@ -120,39 +120,30 @@ impl FullBdd {
         let mut layers: Vec<Vec<BddNode>> = Vec::with_capacity(machine.layers());
         let mut edge_labels = Vec::with_capacity(machine.layers());
         let mut probs = Vec::with_capacity(machine.layers());
-        let mut states: Vec<State> = vec![State::root()];
+        let mut states = LayerArena::new(cfg.merge_rule);
+        states.find_or_insert(true); // the root
+        let mut next_states = LayerArena::new(cfg.merge_rule);
         let mut node_count = 0usize;
         let mut peak_state_bytes = 0usize;
-        let mut key = Vec::new();
 
         for _ in 0..machine.layers() {
             let e = machine.current_edge();
             edge_labels.push(e.id);
             probs.push(e.p);
+            next_states.reset(machine.next_frontier().len());
             let mut level: Vec<BddNode> = Vec::with_capacity(states.len());
-            let mut next_states: Vec<State> = Vec::new();
-            let mut index: netrel_numeric::FxHashMap<Vec<u8>, u32> =
-                netrel_numeric::FxHashMap::default();
-            let mut state_bytes = 0usize;
-            for s in &states {
+            for h in 0..states.len() {
                 let mut arc = [ARC_ZERO; 2];
                 for (slot, take) in [(0usize, false), (1usize, true)] {
-                    arc[slot] = match machine.apply(s, take, &mut scratch) {
-                        Transition::Zero => ARC_ZERO,
-                        Transition::One => ARC_ONE,
-                        Transition::Next(ns) => {
-                            ns.signature(cfg.merge_rule, &mut key);
-                            if let Some(&i) = index.get(&key) {
-                                i
-                            } else {
-                                let i = next_states.len() as u32;
-                                state_bytes += ns.heap_bytes() + key.len();
-                                index.insert(key.clone(), i);
-                                next_states.push(ns);
-                                i
-                            }
-                        }
-                    };
+                    arc[slot] =
+                        match machine.apply(states.row(h), take, &mut scratch, &mut next_states) {
+                            Transition::Zero => ARC_ZERO,
+                            Transition::One => ARC_ONE,
+                            Transition::Next => match next_states.find_or_insert(true) {
+                                Lookup::Found(i) | Lookup::Inserted(i) => i,
+                                Lookup::Absent => unreachable!("insertion requested"),
+                            },
+                        };
                 }
                 level.push(BddNode {
                     lo: arc[0],
@@ -163,9 +154,9 @@ impl FullBdd {
             if node_count > cfg.node_limit {
                 return Err(FullBddError::NodeLimit { built: node_count });
             }
-            peak_state_bytes = peak_state_bytes.max(state_bytes);
+            peak_state_bytes = peak_state_bytes.max(states.bytes() + next_states.bytes());
             layers.push(level);
-            states = next_states;
+            std::mem::swap(&mut states, &mut next_states);
             machine.advance();
         }
         debug_assert!(

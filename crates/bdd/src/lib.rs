@@ -25,5 +25,5 @@ pub mod full;
 
 pub use brute::brute_force_reliability;
 pub use factoring::factoring_reliability;
-pub use frontier::{FrontierMachine, State, Transition};
+pub use frontier::{FrontierMachine, LayerArena, StateRow, Transition};
 pub use full::{FullBdd, FullBddConfig, FullBddError};

@@ -1,10 +1,11 @@
-//! A fast, non-cryptographic hasher for internal node-dedup maps.
+//! A fast, non-cryptographic hasher for internal keys.
 //!
-//! The frontier-state hash maps are the hottest structures in exact BDD
-//! construction (millions of lookups per layer); SipHash costs more than the
-//! state transition itself. This is the Fx (Firefox/rustc) multiply-rotate
-//! scheme over 8-byte chunks — weak against adversaries, ideal for internal
-//! keys we generate ourselves.
+//! Frontier-state lookups are the hottest operation in exact BDD
+//! construction (millions per layer), and the layer arena hashes states in
+//! place with this hasher; SipHash would cost more than the state transition
+//! itself. This is the Fx (Firefox/rustc) multiply-rotate scheme over 8-byte
+//! chunks — weak against adversaries, ideal for internal keys we generate
+//! ourselves (states, plan-cache keys).
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -57,12 +58,6 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed with the fast hasher.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed with the fast hasher.
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +88,7 @@ mod tests {
 
     #[test]
     fn map_works_end_to_end() {
-        let mut m: FxHashMap<Vec<u8>, usize> = FxHashMap::default();
+        let mut m: std::collections::HashMap<Vec<u8>, usize, FxBuildHasher> = Default::default();
         for i in 0..1000usize {
             m.insert(i.to_le_bytes().to_vec(), i);
         }

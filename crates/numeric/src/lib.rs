@@ -21,7 +21,7 @@ pub mod logspace;
 pub mod stats;
 pub mod widefloat;
 
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use fxhash::FxBuildHasher;
 pub use kahan::NeumaierSum;
 pub use stats::{
     accuracy, histogram_quantile, normal_ci, AccuracyReport, ConfidenceInterval, ConfidenceLevel,

@@ -14,18 +14,25 @@ use crate::reduce::reduced_samples;
 use crate::result::S2BddResult;
 use crate::sampler::StratumSampler;
 use crate::strata::Stratum;
-use netrel_bdd::frontier::{FrontierMachine, Scratch, State, Transition};
+use netrel_bdd::frontier::{FrontierMachine, LayerArena, Lookup, Scratch, StateRow, Transition};
 use netrel_numeric::WideFloat;
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One live S2BDD node: frontier state, path-probability mass, priority.
+/// One live S2BDD node: its state's row in the layer arena, path-probability
+/// mass, priority.
 struct Node {
-    state: State,
+    row: u32,
     pn: WideFloat,
     h: WideFloat,
 }
+
+// The priority sort must permute tied nodes exactly as it always has. The
+// standard library picks its unstable-sort kernels by element type: a
+// non-`Copy` element of 17 to 85 bytes takes the same small-sort and
+// partition as the original 80-byte node record that owned its state.
+const _: () = assert!(std::mem::size_of::<Node>() > 16 && std::mem::size_of::<Node>() <= 85);
 
 /// The S2BDD solver.
 pub struct S2Bdd;
@@ -46,12 +53,21 @@ impl S2Bdd {
         let k = machine.k();
         let layers_total = machine.layers();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut sampler = StratumSampler::new(g.num_vertices(), machine.terminal_mask(), k);
+        let mut sampler = StratumSampler::new(&machine);
         let mut scratch = Scratch::default();
-        let mut key = Vec::new();
+        let mut comp_degree = Vec::new();
 
+        // Layer storage, reused from layer to layer: the current layer's
+        // states, the next layer's states with their masses (by handle), and
+        // the nodes deleted while building the next layer.
+        let mut cur = LayerArena::new(cfg.merge_rule);
+        cur.find_or_insert(true); // the root
+        let mut next = LayerArena::new(cfg.merge_rule);
+        let mut next_pn: Vec<WideFloat> = Vec::new();
+        let mut deleted = LayerArena::new(cfg.merge_rule);
+        let mut deleted_pn: Vec<WideFloat> = Vec::new();
         let mut nodes: Vec<Node> = vec![Node {
-            state: State::root(),
+            row: 0,
             pn: WideFloat::ONE,
             h: WideFloat::ONE,
         }];
@@ -78,39 +94,36 @@ impl S2Bdd {
                 b.h.partial_cmp(&a.h).unwrap_or(std::cmp::Ordering::Equal)
             });
 
-            let mut index: netrel_numeric::FxHashMap<Vec<u8>, u32> =
-                netrel_numeric::FxHashMap::default();
-            let mut next: Vec<Node> = Vec::new();
-            let mut deleted: Vec<(State, WideFloat)> = Vec::new();
+            let width = machine.next_frontier().len();
+            next.reset(width);
+            next_pn.clear();
+            deleted.reset(width);
+            deleted_pn.clear();
             let mut deleted_mass = WideFloat::ZERO;
 
-            for node in nodes.drain(..) {
+            for node in &nodes {
                 for (take, weight) in [(true, e.p), (false, 1.0 - e.p)] {
                     if weight <= 0.0 {
                         continue;
                     }
                     let pn = node.pn.mul_f64(weight);
-                    match machine.apply(&node.state, take, &mut scratch) {
+                    let state = cur.row(node.row as usize);
+                    match machine.apply(state, take, &mut scratch, &mut next) {
                         Transition::One => pc += pn,
                         Transition::Zero => pd += pn,
-                        Transition::Next(ns) => {
-                            ns.signature(cfg.merge_rule, &mut key);
-                            if let Some(&i) = index.get(&key) {
-                                next[i as usize].pn += pn;
-                            } else if next.len() < cfg.max_width {
-                                index.insert(key.clone(), next.len() as u32);
+                        Transition::Next => match next.find_or_insert(next.len() < cfg.max_width) {
+                            Lookup::Found(i) => next_pn[i as usize] += pn,
+                            Lookup::Inserted(_) => {
                                 created_nodes_total += 1;
-                                next.push(Node {
-                                    state: ns,
-                                    pn,
-                                    h: WideFloat::ZERO,
-                                });
-                            } else {
+                                next_pn.push(pn);
+                            }
+                            Lookup::Absent => {
                                 deleted_mass += pn;
-                                deleted.push((ns, pn));
+                                deleted.push(next.pending());
+                                deleted_pn.push(pn);
                                 deleted_nodes_total += 1;
                             }
-                        }
+                        },
                     }
                 }
             }
@@ -123,10 +136,10 @@ impl S2Bdd {
                     let quota = (((s_cur as f64) * mass).floor() as usize).max(1);
                     sample_pool(
                         &deleted,
+                        &deleted_pn,
                         deleted_mass,
                         quota,
                         &machine,
-                        l,
                         cfg.estimator,
                         &mut sampler,
                         &mut st,
@@ -145,11 +158,7 @@ impl S2Bdd {
                 tr.push((pc.to_f64(), pd.to_f64()));
             }
             peak_width = peak_width.max(next.len());
-            let layer_bytes: usize = next
-                .iter()
-                .map(|n| n.state.heap_bytes() + std::mem::size_of::<Node>() + 48)
-                .sum();
-            peak_memory = peak_memory.max(layer_bytes);
+            peak_memory = peak_memory.max(cur.bytes() + next.bytes() + deleted.bytes());
             layers_completed = l + 1;
 
             if next.is_empty() {
@@ -175,20 +184,18 @@ impl S2Bdd {
             let cap_exceeded = created_nodes_total > cfg.node_cap;
             if (budget_exhausted || cap_exceeded) && l + 1 < layers_total {
                 node_cap_hit |= cap_exceeded;
-                let live_mass_wf: WideFloat = next.iter().map(|n| n.pn).sum();
+                let live_mass_wf: WideFloat = next_pn.iter().copied().sum();
                 let live_mass = live_mass_wf.to_f64();
                 let live_quota = ((s_cur as f64) * live_mass).floor() as usize;
                 if live_mass > 0.0 && cfg.samples > 0 {
-                    let pool: Vec<(State, WideFloat)> =
-                        next.into_iter().map(|n| (n.state, n.pn)).collect();
                     let mut st = Stratum::new(usize::MAX, live_mass);
                     let quota = live_quota.max(1);
                     sample_pool(
-                        &pool,
+                        &next,
+                        &next_pn,
                         live_mass_wf,
                         quota,
                         &machine,
-                        l,
                         cfg.estimator,
                         &mut sampler,
                         &mut st,
@@ -204,17 +211,21 @@ impl S2Bdd {
                     // estimate degrades to the proven lower bound.
                     break;
                 }
-                // (ownership: `next` was not consumed above)
-                nodes = next;
-            } else {
-                nodes = next;
             }
 
-            // Compute priorities for the new layer (needs post-layer future
-            // degrees, so it happens before advance()).
-            for n in &mut nodes {
-                n.h = heuristic(&machine, &n.state, n.pn, k);
+            // The next layer's nodes, in insertion order, with priorities
+            // (needs post-layer future degrees, so it happens before
+            // advance()).
+            nodes.clear();
+            for (i, &pn) in next_pn.iter().enumerate() {
+                let h = heuristic(&machine, next.row(i), pn, k, &mut comp_degree);
+                nodes.push(Node {
+                    row: i as u32,
+                    pn,
+                    h,
+                });
             }
+            std::mem::swap(&mut cur, &mut next);
             machine.advance();
         }
 
@@ -266,36 +277,37 @@ impl S2Bdd {
     }
 }
 
-/// Draw `quota` conditional worlds from a weighted node pool, recording them
-/// into `st`. Node choice is probability-proportional (multinomial), which
-/// keeps the stratum estimator unbiased.
+/// Draw `quota` conditional worlds from a weighted node pool — the rows of
+/// `pool` with masses `pns`, aligned with the machine's next frontier —
+/// recording them into `st`. Node choice is probability-proportional
+/// (multinomial), which keeps the stratum estimator unbiased.
 #[allow(clippy::too_many_arguments)]
 fn sample_pool(
-    pool: &[(State, WideFloat)],
+    pool: &LayerArena,
+    pns: &[WideFloat],
     pool_mass: WideFloat,
     quota: usize,
     machine: &FrontierMachine,
-    layer: usize,
     estimator: EstimatorKind,
     sampler: &mut StratumSampler,
     st: &mut Stratum,
     rng: &mut StdRng,
 ) {
-    debug_assert!(!pool.is_empty());
+    debug_assert!(!pns.is_empty() && pns.len() == pool.len());
     // Cumulative node weights, computed in the wide domain to survive
     // underflow, then normalized into f64.
-    let mut cum = Vec::with_capacity(pool.len());
+    let mut cum = Vec::with_capacity(pns.len());
     let mut acc = 0.0f64;
-    for (_, pn) in pool {
-        acc += (*pn / pool_mass).to_f64();
+    for &pn in pns {
+        acc += (pn / pool_mass).to_f64();
         cum.push(acc);
     }
     let frontier = machine.next_frontier();
-    let rest = &machine.ordered_edges()[layer + 1..];
+    let rest = &machine.ordered_edges()[machine.layer() + 1..];
     for _ in 0..quota {
         let x: f64 = rng.gen_range(0.0..1.0) * acc.max(1.0);
-        let i = cum.partition_point(|&c| c < x).min(pool.len() - 1);
-        let (state, pn) = &pool[i];
+        let i = cum.partition_point(|&c| c < x).min(pns.len() - 1);
+        let state = pool.row(i);
         match estimator {
             EstimatorKind::MonteCarlo => {
                 let conn = sampler.sample_connected(state, frontier, rest, rng);
@@ -307,7 +319,7 @@ fn sample_pool(
                 // mix the node index into the hash and add the node's pick
                 // log-probability.
                 let mixed = hash ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                let ln_node = (*pn / pool_mass).to_f64().max(f64::MIN_POSITIVE).ln();
+                let ln_node = (pns[i] / pool_mass).to_f64().max(f64::MIN_POSITIVE).ln();
                 st.record_ht(mixed, ln_node + ln_suffix, conn);
             }
         }
@@ -317,19 +329,27 @@ fn sample_pool(
 /// The paper's deletion heuristic (Eq. 10):
 /// `h(n) = p_n · max_f max(t_{n,f}/k, 1/d_{n,f})` over terminal-bearing
 /// components; nodes with no terminal-bearing component get priority 0.
-fn heuristic(machine: &FrontierMachine, state: &State, pn: WideFloat, k: usize) -> WideFloat {
+/// `d` is a reused buffer.
+fn heuristic(
+    machine: &FrontierMachine,
+    state: StateRow<'_>,
+    pn: WideFloat,
+    k: usize,
+    d: &mut Vec<u64>,
+) -> WideFloat {
     let ncomps = state.tcnt.len();
     if ncomps == 0 {
         return WideFloat::ZERO;
     }
     // d_{n,f}: uncertain edges incident to each component = summed future
     // degrees of its frontier members (derived, not stored — see DESIGN.md).
-    let mut d = vec![0u64; ncomps];
-    for (slot, &v) in machine.next_frontier().iter().enumerate() {
-        d[state.comp[slot] as usize] += machine.future_degree_after_current(v) as u64;
+    d.clear();
+    d.resize(ncomps, 0);
+    for (&c, &fd) in state.comp.iter().zip(machine.next_future_degrees()) {
+        d[c as usize] += fd as u64;
     }
     let mut best = 0.0f64;
-    for (&t, &dc) in state.tcnt.iter().zip(&d) {
+    for (&t, &dc) in state.tcnt.iter().zip(d.iter()) {
         if t == 0 {
             continue;
         }

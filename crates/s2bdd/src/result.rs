@@ -28,7 +28,8 @@ pub struct S2BddResult {
     pub variance_estimate: f64,
     /// Maximum live-layer width reached.
     pub peak_width: usize,
-    /// Peak estimated bytes held by one layer (nodes + signatures).
+    /// Peak bytes allocated by the layer arenas (current layer, next layer
+    /// and deleted pool).
     pub peak_memory_bytes: usize,
     /// Layers fully processed.
     pub layers_completed: usize,
