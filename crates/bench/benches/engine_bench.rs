@@ -3,12 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrel_bench::overlapping_terminal_pairs;
-use netrel_core::{pro_reliability, ProConfig};
+use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
 use netrel_datasets::Dataset;
-use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, PlannedQuery};
 use netrel_s2bdd::S2BddConfig;
 
-fn workload(scale: f64) -> (netrel_ugraph::UncertainGraph, Vec<ReliabilityQuery>) {
+fn workload(scale: f64) -> (netrel_ugraph::UncertainGraph, Vec<PlannedQuery>) {
     let g = Dataset::Dblp1.generate(scale, 7);
     let cfg = ProConfig {
         s2bdd: S2BddConfig {
@@ -21,7 +21,13 @@ fn workload(scale: f64) -> (netrel_ugraph::UncertainGraph, Vec<ReliabilityQuery>
     };
     let pairs = overlapping_terminal_pairs(&g, 5, 7);
     let queries = (0..20)
-        .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].clone(), cfg))
+        .map(|i| {
+            PlannedQuery::fixed(
+                SemanticsSpec::KTerminal,
+                pairs[i % pairs.len()].clone(),
+                cfg,
+            )
+        })
         .collect();
     (g, queries)
 }
@@ -49,7 +55,7 @@ fn bench_engine(c: &mut Criterion) {
             let mut engine = Engine::new(EngineConfig::sequential());
             let id = engine.register("dblp1", g.clone());
             engine
-                .run_batch(id, &queries)
+                .run_planned_batch(id, &queries)
                 .unwrap()
                 .into_iter()
                 .map(|a| a.unwrap().estimate)
@@ -64,7 +70,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("engine_warm"), |b| {
         b.iter(|| {
             engine
-                .run_batch(id, &queries)
+                .run_planned_batch(id, &queries)
                 .unwrap()
                 .into_iter()
                 .map(|a| a.unwrap().estimate)

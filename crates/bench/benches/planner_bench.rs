@@ -1,10 +1,11 @@
-//! Criterion microbench: the adaptive planner against the classic engine —
+//! Criterion microbench: the adaptive planner against the fixed policy —
 //! planning overhead on sparse workloads (where every part routes exact)
 //! and completion of dense batches the capped exact path cannot finish.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use netrel_core::SemanticsSpec;
 use netrel_datasets::{clique, Dataset};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery};
 use netrel_s2bdd::S2BddConfig;
 
 fn bench_planner(c: &mut Criterion) {
@@ -12,13 +13,14 @@ fn bench_planner(c: &mut Criterion) {
     group.sample_size(10);
 
     // Sparse workload: the planner must pick the exact route; its cost
-    // model is the only overhead over the classic engine.
+    // model is the only overhead over the fixed policy.
     let sparse = Dataset::Tokyo.generate(0.01, 7);
     let pairs = netrel_bench::overlapping_terminal_pairs(&sparse, 5, 7);
-    let classic: Vec<ReliabilityQuery> = pairs
+    let classic: Vec<PlannedQuery> = pairs
         .iter()
         .map(|t| {
-            ReliabilityQuery::with_config(
+            PlannedQuery::fixed(
+                SemanticsSpec::KTerminal,
                 t.clone(),
                 netrel_core::ProConfig {
                     s2bdd: S2BddConfig::exact(),
@@ -37,7 +39,7 @@ fn bench_planner(c: &mut Criterion) {
             let mut engine = Engine::new(EngineConfig::sequential());
             let id = engine.register("tokyo", sparse.clone());
             engine
-                .run_batch(id, &classic)
+                .run_planned_batch(id, &classic)
                 .unwrap()
                 .into_iter()
                 .map(|a| a.unwrap().estimate)

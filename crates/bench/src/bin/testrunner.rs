@@ -4,7 +4,7 @@
 //! one entry point that emits a single [`netrel_obs::BenchReport`]
 //! (`netrel-bench-report/v1`) per run:
 //!
-//! * `--suite=engine`  — classic-path cold/warm throughput
+//! * `--suite=engine`  — fixed-policy cold/warm throughput
 //!   (default output `BENCH_engine.json`),
 //! * `--suite=planner` — adaptive-planner routing and completion
 //!   (default output `BENCH_planner.json`),

@@ -1,6 +1,6 @@
-//! The two throughput suites behind the `netrel-testrunner` bin.
+//! The three throughput suites behind the `netrel-testrunner` bin.
 //!
-//! * [`engine_suite`] — classic-path cold/warm batch throughput against
+//! * [`engine_suite`] — fixed-policy cold/warm batch throughput against
 //!   independent one-shot `pro_reliability` calls (the former
 //!   `engine_throughput` bin; baseline `BENCH_engine.json`).
 //! * [`planner_suite`] — adaptive-planner completion and routing on dense
@@ -10,16 +10,15 @@
 //!   full rebuild + cold query, plus what-if throughput (baseline
 //!   `BENCH_mutation.json`).
 //!
-//! Both emit rows in the unified [`netrel_obs::BenchReport`] schema so the
-//! committed `BENCH_*.json` baselines stay machine-comparable with
+//! All three emit rows in the unified [`netrel_obs::BenchReport`] schema so
+//! the committed `BENCH_*.json` baselines stay machine-comparable with
 //! `bench-diff`.
 
 use crate::{fmt_secs, overlapping_terminal_pairs, time, RunArgs};
 use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
 use netrel_datasets::{clique, Dataset};
 use netrel_engine::{
-    Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery, QueryAnswer, Recorder,
-    ReliabilityQuery,
+    Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery, Recorder, ReliabilityAnswer,
 };
 use netrel_obs::{BenchReport, BenchRow, CacheCounts, RouteCounts};
 use netrel_s2bdd::S2BddConfig;
@@ -29,7 +28,7 @@ const ENGINE_QUERIES: usize = 100;
 const ENGINE_DISTINCT_PAIRS: usize = 10;
 const ENGINE_BATCH: usize = 10;
 
-/// Classic-path throughput: cold vs. warm batch queries/sec against
+/// Fixed-policy throughput: cold vs. warm batch queries/sec against
 /// independent one-shot `pro_reliability` calls, on the Tokyo-like (road,
 /// tree-like) and DBLP-like (coauthor, dense-core) generators. Asserts
 /// bit-identity between one-shot, cold, and warm answers.
@@ -52,8 +51,14 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
     for ds in [Dataset::Tokyo, Dataset::Dblp1] {
         let g = ds.generate(args.scale, args.seed);
         let pairs = overlapping_terminal_pairs(&g, ENGINE_DISTINCT_PAIRS, args.seed);
-        let queries: Vec<ReliabilityQuery> = (0..ENGINE_QUERIES)
-            .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].clone(), cfg))
+        let queries: Vec<PlannedQuery> = (0..ENGINE_QUERIES)
+            .map(|i| {
+                PlannedQuery::fixed(
+                    SemanticsSpec::KTerminal,
+                    pairs[i % pairs.len()].clone(),
+                    cfg,
+                )
+            })
             .collect();
 
         // Independent one-shot calls: full preprocessing per call, no cache.
@@ -90,7 +95,7 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
             queries: ENGINE_QUERIES as u64,
             secs: cold_secs,
             qps: cold_qps,
-            // The classic path routes nothing through the planner.
+            // The fixed policy routes nothing through the planner.
             routes: RouteCounts::default(),
             cache: CacheCounts {
                 hits: snapshot.cache_hits,
@@ -131,11 +136,14 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
 fn run_chunks(
     engine: &Engine,
     id: netrel_engine::GraphId,
-    queries: &[ReliabilityQuery],
-) -> Vec<QueryAnswer> {
+    queries: &[PlannedQuery],
+) -> Vec<ReliabilityAnswer> {
     let mut answers = Vec::with_capacity(queries.len());
     for chunk in queries.chunks(ENGINE_BATCH) {
-        for a in engine.run_batch(id, chunk).expect("graph registered") {
+        for a in engine
+            .run_planned_batch(id, chunk)
+            .expect("graph registered")
+        {
             answers.push(a.expect("valid query"));
         }
     }
@@ -224,13 +232,13 @@ pub fn planner_suite(args: &RunArgs) -> BenchReport {
         let mut engine = Engine::with_recorder(EngineConfig::sequential(), Recorder::enabled());
         let id = engine.register(workload.clone(), g.clone());
 
-        // Exact-only under the same node cap the planner gets. The classic
-        // path bumps no route counters, so the snapshot below isolates the
+        // Exact-only under the same node cap the planner gets. The fixed
+        // policy bumps no route counters, so the snapshot below isolates the
         // planner run's routing.
-        let exact_queries: Vec<ReliabilityQuery> = terminal_sets
+        let exact_queries: Vec<PlannedQuery> = terminal_sets
             .iter()
             .map(|t| {
-                ReliabilityQuery::with_semantics(
+                PlannedQuery::fixed(
                     spec,
                     t.clone(),
                     ProConfig {
@@ -245,7 +253,7 @@ pub fn planner_suite(args: &RunArgs) -> BenchReport {
             })
             .collect();
         let (exact_answers, exact_only_secs) =
-            time(|| engine.run_batch(id, &exact_queries).unwrap());
+            time(|| engine.run_planned_batch(id, &exact_queries).unwrap());
         let exact_only_completed = exact_answers
             .iter()
             .filter(|a| {

@@ -52,8 +52,8 @@ pub struct PlanKey {
 
 impl PlanKey {
     /// Build the key for one S2BDD solve of a connectivity part
-    /// `(graph, terminals)` under `config` (the classic, non-planned engine
-    /// path).
+    /// `(graph, terminals)` under `config` (a [`Policy::Fixed`](crate::Policy)
+    /// connectivity part).
     pub fn new(graph: &UncertainGraph, terminals: &[VertexId], config: S2BddConfig) -> Self {
         Self::for_solver(graph, terminals, PartSolver::S2Bdd(config))
     }

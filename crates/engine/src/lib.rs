@@ -4,7 +4,7 @@
 //! the surrounding literature is *many queries against one uncertain graph*
 //! (benchmark suites issue thousands of terminal sets, reliability
 //! maximization re-evaluates `R` under small perturbations in an inner
-//! loop). This crate answers batches of [`ReliabilityQuery`] values against
+//! loop). This crate answers batches of [`PlannedQuery`] values against
 //! registered graphs through a three-stage pipeline:
 //!
 //! 1. **Semantics planning** — each query names a reliability semantics
@@ -14,7 +14,12 @@
 //!    (bridges, 2ECC labelling, bridge forest:
 //!    `netrel_preprocess::GraphIndex`) is computed once at
 //!    [`Engine::register`] time and reused by every query; only the
-//!    terminal-dependent decompose step runs per query.
+//!    terminal-dependent decompose step runs per query. The query's
+//!    [`Policy`] then gives each part its solver: [`Policy::Fixed`] runs
+//!    the configured solver as the one-shot pipeline does, and
+//!    [`Policy::Budgeted`] lets the adaptive [`planner`] route each part
+//!    to exact S2BDD, width-bounded S2BDD, exact hop-bounded enumeration,
+//!    or sampling under the query's [`PlanBudget`].
 //! 2. **Plan cache** — each decomposed part is keyed by its canonical
 //!    structure, terminal set, part computation (connectivity vs. hop
 //!    bound), and full solver config ([`PlanKey`]); results are LRU-cached
@@ -22,32 +27,32 @@
 //!    Identical parts *within* one batch are also deduped and solved once.
 //! 3. **Parallel executor** — remaining part jobs run on scoped worker
 //!    threads with deterministic seeds and deterministic reassembly:
-//!    answers are bit-identical to the one-shot
-//!    [`semantics_reliability`](netrel_core::semantics_reliability) (and
-//!    hence, for k-terminal queries, to
-//!    [`pro_reliability`](netrel_core::pro_reliability)), sequential or not.
+//!    answers do not depend on batch composition, cache state, or worker
+//!    count, and [`Policy::Fixed`] answers are bit-identical to the
+//!    one-shot [`semantics_reliability`](netrel_core::semantics_reliability)
+//!    (and hence, for k-terminal queries, to
+//!    [`pro_reliability`](netrel_core::pro_reliability)).
 //!
-//! For graphs the exact path cannot finish, the **adaptive planner**
-//! ([`planner`], [`Engine::run_planned_batch`]) routes each part to exact
-//! S2BDD, width-bounded S2BDD, exact hop-bounded enumeration, or flat
-//! sampling under a per-query [`PlanBudget`], returning
-//! [`ReliabilityAnswer`] values that carry the semantics they answered,
-//! exactness status, and a confidence interval (`DESIGN.md` §9 is the
-//! accuracy contract).
+//! Every query returns a [`ReliabilityAnswer`] carrying the semantics it
+//! answered, the exactness status, a confidence interval, and the route of
+//! each part (`DESIGN.md` §9 is the accuracy contract).
 //!
 //! ```
-//! use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+//! use netrel_core::{ProConfig, SemanticsSpec};
+//! use netrel_engine::{Engine, EngineConfig, PlannedQuery};
 //! use netrel_ugraph::UncertainGraph;
 //!
 //! let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
 //! let mut engine = Engine::new(EngineConfig::default());
 //! let id = engine.register("demo", g);
+//! let query = |t| PlannedQuery::fixed(SemanticsSpec::KTerminal, t, ProConfig::default());
 //! let answers = engine
-//!     .run_batch(id, &[ReliabilityQuery::new(vec![0, 2]), ReliabilityQuery::new(vec![1, 3])])
+//!     .run_planned_batch(id, &[query(vec![0, 2]), query(vec![1, 3])])
 //!     .unwrap();
 //! for a in answers {
 //!     let a = a.unwrap();
 //!     assert!(a.lower_bound <= a.estimate && a.estimate <= a.upper_bound);
+//!     assert!(a.ci.contains(a.estimate));
 //! }
 //! ```
 
@@ -66,7 +71,7 @@ use netrel_core::{
     ProResult, SamplingConfig, SemPart, SemanticsPlan, SemanticsSpec, WorldBank,
     DHOP_EXACT_EDGE_LIMIT,
 };
-use netrel_numeric::{normal_ci, ConfidenceInterval};
+use netrel_numeric::{normal_ci, ConfidenceInterval, ConfidenceLevel};
 use netrel_obs::trace as obs_trace;
 use netrel_obs::TraceBuilder;
 use netrel_preprocess::GraphIndex;
@@ -117,70 +122,44 @@ impl EngineConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GraphId(usize);
 
-/// One reliability query: a semantics, a terminal set, and the full `Pro`
-/// configuration.
+/// How a query's decomposed parts get their solvers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Policy {
+    /// The paper's configuration: every part runs `config.s2bdd` as given
+    /// (with its per-part seed), except that d-hop parts enumerate exactly
+    /// up to [`DHOP_EXACT_EDGE_LIMIT`] edges and sample beyond. Answers are
+    /// bit-identical to the one-shot
+    /// [`semantics_reliability`](netrel_core::semantics_reliability); the
+    /// budget only sets the confidence level of their interval.
+    Fixed,
+    /// The adaptive planner: the cost model in [`planner`] routes each part
+    /// under the query's budget, overriding the width, samples, and node
+    /// cap of `config.s2bdd`.
+    Budgeted,
+}
+
+/// One reliability query: a semantics, a terminal set, the base solver
+/// configuration, and the [`Policy`] (plus [`PlanBudget`]) that picks each
+/// part's solver.
 #[derive(Clone, Debug)]
-pub struct ReliabilityQuery {
+pub struct PlannedQuery {
     /// What the query computes (defaults to k-terminal connectivity).
     pub semantics: SemanticsSpec,
     /// Terminal vertices, interpreted per the semantics (connect-all for
     /// k-terminal, `(s, t)` for two-terminal/d-hop, the source for
     /// reach-set; ignored by all-terminal).
     pub terminals: Vec<VertexId>,
-    /// Solver configuration. `config.parallel_parts` is ignored: the engine
-    /// schedules parts across the whole batch itself.
+    /// Solver configuration. Under [`Policy::Budgeted`] the width/samples
+    /// knobs of `config.s2bdd` are advisory only — the planner overrides
+    /// them per part; the estimator, edge order, merge rule, and seed are
+    /// honored. `config.parallel_parts` is ignored: the engine schedules
+    /// parts across the whole batch itself.
     pub config: ProConfig,
-}
-
-impl ReliabilityQuery {
-    /// A k-terminal query with the default `Pro` configuration.
-    pub fn new(terminals: Vec<VertexId>) -> Self {
-        ReliabilityQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config: ProConfig::default(),
-        }
-    }
-
-    /// A k-terminal query with an explicit configuration.
-    pub fn with_config(terminals: Vec<VertexId>, config: ProConfig) -> Self {
-        ReliabilityQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config,
-        }
-    }
-
-    /// A query under an explicit semantics.
-    pub fn with_semantics(
-        semantics: SemanticsSpec,
-        terminals: Vec<VertexId>,
-        config: ProConfig,
-    ) -> Self {
-        ReliabilityQuery {
-            semantics,
-            terminals,
-            config,
-        }
-    }
-}
-
-/// One *planned* reliability query: a terminal set, the base solver
-/// configuration, and the [`PlanBudget`] the adaptive planner routes under.
-///
-/// Unlike [`ReliabilityQuery`], the width/samples knobs of `config.s2bdd`
-/// are advisory only — the planner overrides them per part according to its
-/// cost model; the estimator, edge order, merge rule, and seed are honored.
-#[derive(Clone, Debug)]
-pub struct PlannedQuery {
-    /// What the query computes (defaults to k-terminal connectivity).
-    pub semantics: SemanticsSpec,
-    /// Terminal vertices, interpreted per the semantics (see
-    /// [`ReliabilityQuery::terminals`]).
-    pub terminals: Vec<VertexId>,
-    /// Base solver configuration (seed, estimator, order, merge rule).
-    pub config: ProConfig,
-    /// Per-query resource budget.
+    /// How parts are routed.
+    pub policy: Policy,
+    /// Per-query resource budget the planner routes under; its
+    /// `confidence` also sets the level of [`ReliabilityAnswer::ci`] under
+    /// either policy.
     pub budget: PlanBudget,
     /// Request a [`QueryTrace`] span tree with the answer (see
     /// [`PlannedQuery::with_trace`]). Tracing never changes the answer —
@@ -191,24 +170,17 @@ pub struct PlannedQuery {
 impl PlannedQuery {
     /// A planned k-terminal query with the default `Pro` base configuration.
     pub fn new(terminals: Vec<VertexId>, budget: PlanBudget) -> Self {
-        PlannedQuery {
-            semantics: SemanticsSpec::default(),
+        Self::with_semantics(
+            SemanticsSpec::default(),
             terminals,
-            config: ProConfig::default(),
+            ProConfig::default(),
             budget,
-            trace: false,
-        }
+        )
     }
 
     /// A planned k-terminal query with an explicit base configuration.
     pub fn with_config(terminals: Vec<VertexId>, config: ProConfig, budget: PlanBudget) -> Self {
-        PlannedQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config,
-            budget,
-            trace: false,
-        }
+        Self::with_semantics(SemanticsSpec::default(), terminals, config, budget)
     }
 
     /// A planned query under an explicit semantics.
@@ -222,8 +194,19 @@ impl PlannedQuery {
             semantics,
             terminals,
             config,
+            policy: Policy::Budgeted,
             budget,
             trace: false,
+        }
+    }
+
+    /// A [`Policy::Fixed`] query: `config` runs as given, bit-identical to
+    /// the one-shot pipeline, and the answer's interval is at the default
+    /// confidence level.
+    pub fn fixed(semantics: SemanticsSpec, terminals: Vec<VertexId>, config: ProConfig) -> Self {
+        PlannedQuery {
+            policy: Policy::Fixed,
+            ..Self::with_semantics(semantics, terminals, config, PlanBudget::default())
         }
     }
 
@@ -263,68 +246,10 @@ impl From<GraphError> for EngineError {
     }
 }
 
-/// Answer to one query — the fields of a `ProResult` plus cache telemetry,
-/// serializable for the JSON service.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct QueryAnswer {
-    /// The semantics this answer computed.
-    pub semantics: SemanticsSpec,
-    /// Estimated value `R̂[G, T]` under the semantics (a probability for
-    /// all connectivity variants, an expected count for reach-set).
-    pub estimate: f64,
-    /// Proven lower bound.
-    pub lower_bound: f64,
-    /// Proven upper bound.
-    pub upper_bound: f64,
-    /// The estimate is the exact reliability.
-    pub exact: bool,
-    /// Bridge-probability factor from decomposition.
-    pub pb: f64,
-    /// Total samples across all parts, cached or fresh (a cached part
-    /// reports the samples of its original solve, keeping this field equal
-    /// to the one-shot `ProResult`'s).
-    pub samples_used: usize,
-    /// Variance of the product estimator.
-    pub variance_estimate: f64,
-    /// Preprocessing statistics.
-    pub preprocess_stats: netrel_preprocess::PreprocessStats,
-    /// Per-part solver results, in part order (cached or fresh).
-    pub parts: Vec<S2BddResult>,
-    /// Parts of this query served from the plan cache.
-    pub cache_hits: usize,
-    /// Parts of this query that required a solve (or joined an identical
-    /// in-batch job).
-    pub cache_misses: usize,
-}
-
-impl QueryAnswer {
-    fn from_pro(
-        semantics: SemanticsSpec,
-        r: ProResult,
-        cache_hits: usize,
-        cache_misses: usize,
-    ) -> Self {
-        QueryAnswer {
-            semantics,
-            estimate: r.estimate,
-            lower_bound: r.lower_bound,
-            upper_bound: r.upper_bound,
-            exact: r.exact,
-            pb: r.pb,
-            samples_used: r.samples_used,
-            variance_estimate: r.variance_estimate,
-            preprocess_stats: r.preprocess_stats,
-            parts: r.parts,
-            cache_hits,
-            cache_misses,
-        }
-    }
-}
-
-/// Answer to one *planned* query: the recombined estimate with its proven
-/// bounds, the exactness status, a confidence interval, and the per-part
-/// routing decisions. The exactness/CI contract is specified in
-/// `DESIGN.md` §9:
+/// Answer to one query: the recombined estimate with its proven bounds,
+/// the exactness status, a confidence interval, and the per-part routes.
+/// The exactness/CI contract is specified in `DESIGN.md` §9 and holds
+/// under either [`Policy`]:
 ///
 /// * `exact == true` — every part was solved exactly; `estimate` **is**
 ///   `R[G, T]` (up to f64 rounding of the recombination product) and the CI
@@ -361,7 +286,7 @@ pub struct ReliabilityAnswer {
     pub preprocess_stats: netrel_preprocess::PreprocessStats,
     /// Per-part solver results, in part order.
     pub parts: Vec<S2BddResult>,
-    /// Route the planner chose for each part, in part order.
+    /// Route of each part's solver ([`PartSolver::route`]), in part order.
     pub routes: Vec<Route>,
     /// Parts of this query served from the plan cache.
     pub cache_hits: usize,
@@ -374,85 +299,56 @@ pub struct ReliabilityAnswer {
     pub trace: Option<QueryTrace>,
 }
 
-impl ReliabilityAnswer {
-    fn from_assembled(
-        semantics: SemanticsSpec,
-        a: Assembled,
-        budget: &PlanBudget,
-        value_cap: f64,
-    ) -> Self {
-        let Assembled {
-            pro: r,
-            routes,
-            cache_hits: hits,
-            cache_misses: misses,
-            trace,
-        } = a;
-        // `value_cap` is the semantics' `value_upper`: 1 for probabilities,
-        // `|V|` for reach-set. The probability path goes through `normal_ci`
-        // unchanged so k-terminal answers stay bit-identical to the
-        // pre-semantics engine.
-        let ci = if r.exact {
-            ConfidenceInterval {
-                lower: r.estimate.clamp(0.0, value_cap),
-                upper: r.estimate.clamp(0.0, value_cap),
-                level: budget.confidence,
-            }
-        } else {
-            let mut ci = if value_cap <= 1.0 {
-                normal_ci(r.estimate, r.variance_estimate, budget.confidence)
-            } else {
-                let sd = if r.variance_estimate.is_finite() && r.variance_estimate > 0.0 {
-                    r.variance_estimate.sqrt()
-                } else {
-                    0.0
-                };
-                let half = budget.confidence.z() * sd;
-                ConfidenceInterval {
-                    lower: (r.estimate - half).clamp(0.0, value_cap),
-                    upper: (r.estimate + half).clamp(0.0, value_cap),
-                    level: budget.confidence,
-                }
-            };
-            // Degenerate-variance guard, applied per part: a sampled part
-            // whose draws all agreed (all hits or all misses) reports Wald
-            // variance 0 and would enter the Theorem-4 product as a
-            // variance-free constant, letting the interval claim certainty
-            // it does not have — even when other parts contribute variance.
-            // Widen by the rule-of-three envelope `3/sᵢ` (the classic 95%
-            // bound for zero observed failures) for each such part; since
-            // part estimates multiply within [0, 1], the additive slack is
-            // conservative.
-            let slack: f64 = r
-                .parts
-                .iter()
-                .filter(|p| !p.exact && p.samples_used > 0 && p.variance_estimate <= 0.0)
-                .map(|p| 3.0 / p.samples_used as f64)
-                .sum();
-            if slack > 0.0 {
-                ci.lower = (ci.lower - slack).max(0.0);
-                ci.upper = (ci.upper + slack).min(value_cap);
-            }
-            ci.clamp_to(r.lower_bound, r.upper_bound)
+/// The `DESIGN.md` §9.4 interval of a recombined answer at `level`.
+/// `value_cap` is the semantics' `value_upper`: 1 for probabilities, `|V|`
+/// for reach-set. The probability path goes through `normal_ci` unchanged
+/// so k-terminal answers stay bit-identical to the pre-semantics engine.
+fn confidence_interval(
+    r: &ProResult,
+    level: ConfidenceLevel,
+    value_cap: f64,
+) -> ConfidenceInterval {
+    if r.exact {
+        return ConfidenceInterval {
+            lower: r.estimate.clamp(0.0, value_cap),
+            upper: r.estimate.clamp(0.0, value_cap),
+            level,
         };
-        ReliabilityAnswer {
-            semantics,
-            estimate: r.estimate,
-            lower_bound: r.lower_bound,
-            upper_bound: r.upper_bound,
-            exact: r.exact,
-            ci,
-            pb: r.pb,
-            samples_used: r.samples_used,
-            variance_estimate: r.variance_estimate,
-            preprocess_stats: r.preprocess_stats,
-            parts: r.parts,
-            routes,
-            cache_hits: hits,
-            cache_misses: misses,
-            trace,
-        }
     }
+    let mut ci = if value_cap <= 1.0 {
+        normal_ci(r.estimate, r.variance_estimate, level)
+    } else {
+        let sd = if r.variance_estimate.is_finite() && r.variance_estimate > 0.0 {
+            r.variance_estimate.sqrt()
+        } else {
+            0.0
+        };
+        let half = level.z() * sd;
+        ConfidenceInterval {
+            lower: (r.estimate - half).clamp(0.0, value_cap),
+            upper: (r.estimate + half).clamp(0.0, value_cap),
+            level,
+        }
+    };
+    // Degenerate-variance guard, applied per part: a sampled part whose
+    // draws all agreed (all hits or all misses) reports Wald variance 0 and
+    // would enter the Theorem-4 product as a variance-free constant, letting
+    // the interval claim certainty it does not have — even when other parts
+    // contribute variance. Widen by the rule-of-three envelope `3/sᵢ` (the
+    // classic 95% bound for zero observed failures) for each such part;
+    // since part estimates multiply within [0, 1], the additive slack is
+    // conservative.
+    let slack: f64 = r
+        .parts
+        .iter()
+        .filter(|p| !p.exact && p.samples_used > 0 && p.variance_estimate <= 0.0)
+        .map(|p| 3.0 / p.samples_used as f64)
+        .sum();
+    if slack > 0.0 {
+        ci.lower = (ci.lower - slack).max(0.0);
+        ci.upper = (ci.upper + slack).min(value_cap);
+    }
+    ci.clamp_to(r.lower_bound, r.upper_bound)
 }
 
 struct RegisteredGraph {
@@ -499,7 +395,7 @@ pub struct GraphStats {
 }
 
 /// The batched multi-query reliability engine. See the crate docs for the
-/// pipeline; [`Engine::run_batch`] is the main entry point.
+/// pipeline; [`Engine::run_planned_batch`] is the main entry point.
 pub struct Engine {
     cfg: EngineConfig,
     graphs: Vec<RegisteredGraph>,
@@ -527,12 +423,8 @@ enum PartSource {
 struct PreparedQuery {
     /// The semantics' decomposition of the query (parts, groups, offset).
     plan: SemanticsPlan,
-    /// One materialized solver per part (the classic path mirrors
-    /// `solve_semantics_part`'s dispatch; the planned path routes through
-    /// the cost model).
+    /// One materialized solver per part, chosen by the query's [`Policy`].
     solvers: Vec<PartSolver>,
-    /// Route per part — empty on the classic path.
-    routes: Vec<Route>,
     /// One [`PlanKey`] per part, built outside the cache lock and reused
     /// for the post-solve insert (the single key-derivation site).
     keys: Vec<PlanKey>,
@@ -545,25 +437,15 @@ struct PreparedQuery {
     trace: Option<TraceBuilder>,
 }
 
-/// A recombined query outcome plus its routing/caching telemetry — the
-/// common product of the classic and planned paths.
-struct Assembled {
-    pro: ProResult,
-    routes: Vec<Route>,
-    cache_hits: usize,
-    cache_misses: usize,
-    trace: Option<QueryTrace>,
-}
-
-/// Materialize the classic-path (non-planned) solver for one part,
-/// mirroring `solve_semantics_part`'s dispatch exactly so engine answers
-/// stay bit-identical to the one-shot pipeline: the configured S2BDD for
+/// Materialize the [`Policy::Fixed`] solver for one part, mirroring
+/// `solve_semantics_part`'s dispatch exactly so engine answers stay
+/// bit-identical to the one-shot pipeline: the configured S2BDD for
 /// connectivity parts; for d-hop parts, exact enumeration up to
 /// [`DHOP_EXACT_EDGE_LIMIT`] edges and hop-bounded sampling (same sample
 /// budget, estimator, and per-part seed) beyond. Making the split explicit
 /// here — rather than hiding it inside an opaque `S2Bdd` solver — keeps the
 /// [`PlanKey`] honest about what actually ran.
-fn classic_solver(part: &SemPart, base: S2BddConfig, part_index: usize) -> PartSolver {
+fn fixed_solver(part: &SemPart, base: S2BddConfig, part_index: usize) -> PartSolver {
     let cfg = part_s2bdd_config(base, part_index);
     match part.computation {
         PartComputation::Connectivity => PartSolver::S2Bdd(cfg),
@@ -648,87 +530,7 @@ impl Engine {
         self.graphs.len()
     }
 
-    /// Answer one query (a one-element batch).
-    pub fn run(&self, id: GraphId, query: &ReliabilityQuery) -> Result<QueryAnswer, EngineError> {
-        self.run_batch(id, std::slice::from_ref(query))?
-            .pop()
-            .expect("one answer per query")
-    }
-
-    /// Answer a batch of queries against one registered graph.
-    ///
-    /// The outer `Result` fails only for an unknown [`GraphId`]; per-query
-    /// failures (e.g. out-of-range terminals) come back in their slot so one
-    /// bad query cannot poison a batch. Answers are bit-identical to calling
-    /// [`semantics_reliability`](netrel_core::semantics_reliability) — and
-    /// so, for the default k-terminal semantics,
-    /// [`pro_reliability`](netrel_core::pro_reliability) — per query with
-    /// the same configuration, independent of batch composition, cache
-    /// state, and worker count.
-    ///
-    /// ```
-    /// use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
-    /// use netrel_ugraph::UncertainGraph;
-    ///
-    /// let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9)]).unwrap();
-    /// let mut engine = Engine::new(EngineConfig::default());
-    /// let id = engine.register("path", g);
-    /// let queries = [ReliabilityQuery::new(vec![0, 3]), ReliabilityQuery::new(vec![1, 2])];
-    /// let answers = engine.run_batch(id, &queries).unwrap();
-    /// assert_eq!(answers.len(), 2);
-    /// let a = answers[0].as_ref().unwrap();
-    /// // A path is all bridges: preprocessing resolves it exactly.
-    /// assert!(a.exact);
-    /// assert!((a.estimate - 0.9 * 0.8 * 0.9).abs() < 1e-12);
-    /// ```
-    pub fn run_batch(
-        &self,
-        id: GraphId,
-        queries: &[ReliabilityQuery],
-    ) -> Result<Vec<Result<QueryAnswer, EngineError>>, EngineError> {
-        let rg = self.registered(id)?;
-        let metrics = self.obs.metrics();
-
-        // Stage 1 (classic): semantics planning per query (the
-        // terminal-independent structure is shared via `rg.index`); every
-        // part is solved by the deterministic route with its per-part seed.
-        let prepared: Vec<Result<PreparedQuery, EngineError>> = queries
-            .iter()
-            .map(|q| {
-                let t0 = metrics.map(|_| Instant::now());
-                let plan = q.semantics.semantics().plan(
-                    &rg.graph,
-                    &rg.index,
-                    &q.terminals,
-                    q.config.preprocess,
-                )?;
-                if let (Some(m), Some(t0)) = (metrics, t0) {
-                    m.plan_seconds.observe_duration(t0.elapsed());
-                    m.queries_classic.inc();
-                    m.parts_per_query.observe_count(plan.parts.len());
-                }
-                let solvers: Vec<PartSolver> = plan
-                    .parts
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, part)| classic_solver(part, q.config.s2bdd, pi))
-                    .collect();
-                Ok(Self::prepared(plan, solvers, Vec::new(), None))
-            })
-            .collect();
-
-        let answers = self
-            .execute(id.0, prepared)
-            .into_iter()
-            .zip(queries)
-            .map(|(a, q)| {
-                a.map(|a| QueryAnswer::from_pro(q.semantics, a.pro, a.cache_hits, a.cache_misses))
-            })
-            .collect();
-        Ok(answers)
-    }
-
-    /// Answer one planned query (a one-element batch of
+    /// Answer one query (a one-element batch of
     /// [`run_planned_batch`](Engine::run_planned_batch)).
     pub fn run_planned(
         &self,
@@ -740,28 +542,45 @@ impl Engine {
             .expect("one answer per query")
     }
 
-    /// Answer a batch of queries through the **adaptive planner**: each
-    /// decomposed part is routed to exact S2BDD, width-bounded S2BDD, or
-    /// flat sampling by the cost model in [`planner`], under the query's
-    /// [`PlanBudget`]. Answers carry exactness status, proven bounds, and a
+    /// Answer a batch of queries against one registered graph.
+    ///
+    /// Each query's [`Policy`] picks its part solvers. [`Policy::Fixed`]
+    /// runs the configured solver, so its answers are bit-identical to
+    /// calling [`semantics_reliability`](netrel_core::semantics_reliability)
+    /// — and so, for the default k-terminal semantics,
+    /// [`pro_reliability`](netrel_core::pro_reliability) — per query with
+    /// the same configuration. [`Policy::Budgeted`] routes each part to
+    /// exact S2BDD, width-bounded S2BDD, enumeration, or sampling by the
+    /// cost model in [`planner`], under the query's [`PlanBudget`]. Either
+    /// way solvers are fully materialized before solving, so batch
+    /// composition, cache state, and worker count never change a result,
+    /// and every answer carries exactness status, proven bounds, and a
     /// confidence interval per the `DESIGN.md` §9 contract.
     ///
-    /// Like [`run_batch`](Engine::run_batch), answers are deterministic:
-    /// the budget is folded into solver configurations before solving, so
-    /// batch composition, cache state, and worker count never change a
-    /// result.
+    /// The outer `Result` fails only for an unknown [`GraphId`]; per-query
+    /// failures (e.g. out-of-range terminals) come back in their slot so one
+    /// bad query cannot poison a batch.
     ///
     /// ```
+    /// use netrel_core::{ProConfig, SemanticsSpec};
     /// use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery};
     /// use netrel_ugraph::UncertainGraph;
     ///
-    /// let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
+    /// let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9)]).unwrap();
     /// let mut engine = Engine::new(EngineConfig::default());
-    /// let id = engine.register("cycle", g);
-    /// let q = PlannedQuery::new(vec![0, 2], PlanBudget::default());
-    /// let a = engine.run_planned_batch(id, &[q]).unwrap().remove(0).unwrap();
-    /// assert!(a.exact, "a 4-cycle fits any sane node budget");
-    /// assert!(a.ci.contains(a.estimate));
+    /// let id = engine.register("path", g);
+    /// let queries = [
+    ///     PlannedQuery::fixed(SemanticsSpec::KTerminal, vec![0, 3], ProConfig::default()),
+    ///     PlannedQuery::new(vec![1, 2], PlanBudget::default()),
+    /// ];
+    /// let answers = engine.run_planned_batch(id, &queries).unwrap();
+    /// assert_eq!(answers.len(), 2);
+    /// let a = answers[0].as_ref().unwrap();
+    /// // A path is all bridges: preprocessing resolves it exactly.
+    /// assert!(a.exact);
+    /// assert!((a.estimate - 0.9 * 0.8 * 0.9).abs() < 1e-12);
+    /// assert_eq!((a.ci.lower, a.ci.upper), (a.estimate, a.estimate));
+    /// assert!(answers[1].as_ref().unwrap().exact);
     /// ```
     pub fn run_planned_batch(
         &self,
@@ -769,35 +588,16 @@ impl Engine {
         queries: &[PlannedQuery],
     ) -> Result<Vec<Result<ReliabilityAnswer, EngineError>>, EngineError> {
         let rg = self.registered(id)?;
-        let prepared = self.prepare_planned(&rg.graph, &rg.index, queries);
-        let answers = self
-            .execute(id.0, prepared)
-            .into_iter()
-            .zip(queries)
-            .map(|(a, q)| {
-                a.map(|a| {
-                    ReliabilityAnswer::from_assembled(
-                        q.semantics,
-                        a,
-                        &q.budget,
-                        q.semantics.semantics().value_upper(&rg.graph),
-                    )
-                })
-            })
-            .collect();
-        Ok(answers)
+        Ok(self.execute(id.0, &rg.graph, &rg.index, queries))
     }
 
-    /// Stage 1 of the planned path against an explicit `(graph, index)`
-    /// pair: semantics planning, then the cost model on every part to
-    /// materialize its routed solver. A traced query runs planning with its
-    /// builder installed in the thread-local hook, so the core/preprocess
-    /// spans ("plan.*", "preprocess.*") nest under this query's root.
-    /// Factored out of [`run_planned_batch`](Engine::run_planned_batch) so
-    /// the what-if path ([`Engine::evaluate_with`]) can plan against a
-    /// hypothetical graph while sharing the execution pipeline (and its
-    /// structurally-keyed plan cache) unchanged.
-    fn prepare_planned(
+    /// Stage 1 against an explicit `(graph, index)` pair: semantics
+    /// planning, then one materialized solver per part under the query's
+    /// [`Policy`], and the cache key each solver implies (the single
+    /// key-derivation site). A traced query runs planning with its builder
+    /// installed in the thread-local hook, so the core/preprocess spans
+    /// ("plan.*", "preprocess.*") nest under this query's root.
+    fn prepare(
         &self,
         graph: &UncertainGraph,
         index: &GraphIndex,
@@ -819,52 +619,76 @@ impl Engine {
                 let plan = plan_result?; // a failed plan drops its trace
                 if let (Some(m), Some(t0)) = (metrics, t0) {
                     m.plan_seconds.observe_duration(t0.elapsed());
-                    m.queries_planned.inc();
+                    match q.policy {
+                        Policy::Fixed => m.queries_classic.inc(),
+                        Policy::Budgeted => m.queries_planned.inc(),
+                    }
                     m.parts_per_query.observe_count(plan.parts.len());
                 }
-                // The wall-clock hint covers the whole query: split its
-                // allowance across the decomposition before routing.
-                let part_budget = q.budget.for_parts(plan.parts.len());
-                let route_span = tb.as_mut().map(|b| (b.open("route"), Instant::now()));
-                let plans: Vec<PartPlan> = plan
-                    .parts
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, part)| plan_part(part, q.config.s2bdd, pi, &part_budget))
-                    .collect();
-                if let Some(m) = metrics {
-                    for p in &plans {
-                        Self::route_counter(m, p).inc();
-                        m.predicted_nodes.observe_count(p.estimate.predicted_nodes);
-                        if let PartSolver::BitSampling { samples, .. } = p.solver {
-                            m.bit_lane_utilization_percent
-                                .observe(lane_utilization_percent(samples));
-                        }
+                let route_span = tb.as_mut().and_then(|b| b.open("route"));
+                let parts = plan.parts.iter().enumerate();
+                let solvers: Vec<PartSolver> = match q.policy {
+                    Policy::Fixed => parts
+                        .map(|(pi, part)| fixed_solver(part, q.config.s2bdd, pi))
+                        .collect(),
+                    Policy::Budgeted => {
+                        // The wall-clock hint covers the whole query: split
+                        // its allowance across the decomposition first.
+                        let part_budget = q.budget.for_parts(plan.parts.len());
+                        parts
+                            .map(|(pi, part)| {
+                                let p = plan_part(part, q.config.s2bdd, pi, &part_budget);
+                                if let Some(m) = metrics {
+                                    Self::record_plan(m, &p);
+                                }
+                                p.solver
+                            })
+                            .collect()
                     }
-                }
-                if let (Some(b), Some((Some(id), _))) = (tb.as_mut(), route_span) {
-                    let names: Vec<&str> = plans.iter().map(|p| p.route.name()).collect();
+                };
+                if let (Some(b), Some(id)) = (tb.as_mut(), route_span) {
+                    let names: Vec<&str> = solvers.iter().map(|s| s.route().name()).collect();
                     b.attr(id, "routes", names.join(","));
                     b.close(id);
                 }
-                let solvers = plans.iter().map(|p| p.solver).collect();
-                let routes = plans.iter().map(|p| p.route).collect();
-                Ok(Self::prepared(plan, solvers, routes, tb))
+                let keys = plan
+                    .parts
+                    .iter()
+                    .zip(&solvers)
+                    .map(|(part, &solver)| PlanKey::for_part(part, solver))
+                    .collect();
+                Ok(PreparedQuery {
+                    plan,
+                    solvers,
+                    keys,
+                    sources: Vec::new(),
+                    cache_hits: 0,
+                    cache_misses: 0,
+                    trace: tb,
+                })
             })
             .collect()
     }
 
-    /// The catalogue counter a routed part increments. Enumeration is a
-    /// solver, not a [`Route`] (d-hop parts under the exact enumeration
-    /// limit carry `Route::Exact` + [`PartSolver::Enumeration`]), so the
-    /// exposed route breakdown derives from the `(route, solver)` pair.
-    fn route_counter<'m>(m: &'m netrel_obs::Metrics, p: &PartPlan) -> &'m netrel_obs::Counter {
-        match (p.route, p.solver) {
+    /// Record one cost-model decision in the catalogue: its route counter,
+    /// its node prediction, and the lane use of a packed sampling part.
+    /// Enumeration is a solver, not a [`Route`] (d-hop parts under the
+    /// exact enumeration limit carry `Route::Exact` +
+    /// [`PartSolver::Enumeration`]), so the exposed route breakdown derives
+    /// from the `(route, solver)` pair.
+    fn record_plan(m: &netrel_obs::Metrics, p: &PartPlan) {
+        let counter = match (p.route, p.solver) {
             (_, PartSolver::Enumeration) => &m.route_enumeration,
             (Route::Exact, _) => &m.route_exact,
             (Route::Bounded, _) => &m.route_bounded,
             (Route::Sampling, _) => &m.route_sampling,
             (Route::BitSampling, _) => &m.route_bit_sampling,
+        };
+        counter.inc();
+        m.predicted_nodes.observe_count(p.estimate.predicted_nodes);
+        if let PartSolver::BitSampling { samples, .. } = p.solver {
+            m.bit_lane_utilization_percent
+                .observe(lane_utilization_percent(samples));
         }
     }
 
@@ -874,43 +698,22 @@ impl Engine {
             .ok_or_else(|| EngineError::UnknownGraph(format!("#{}", id.0)))
     }
 
-    /// Assemble a [`PreparedQuery`] from its parts, deriving the cache key
-    /// of every part from its materialized solver (the single
-    /// key-derivation site).
-    fn prepared(
-        plan: SemanticsPlan,
-        solvers: Vec<PartSolver>,
-        routes: Vec<Route>,
-        trace: Option<TraceBuilder>,
-    ) -> PreparedQuery {
-        let keys = plan
-            .parts
-            .iter()
-            .zip(&solvers)
-            .map(|(part, &solver)| PlanKey::for_part(part, solver))
-            .collect();
-        PreparedQuery {
-            plan,
-            solvers,
-            routes,
-            keys,
-            sources: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            trace,
-        }
-    }
-
-    /// The shared stage-2/3 pipeline behind both batch entry points:
-    /// plan-cache lookup and in-batch dedup, parallel solving of the
-    /// remaining jobs, cache publication, and per-query recombination with
-    /// the exact `combine_semantics_plan` composition the one-shot
+    /// The query pipeline behind [`run_planned_batch`](Engine::run_planned_batch)
+    /// and [`evaluate_with`](Engine::evaluate_with), against an explicit
+    /// `(graph, index)` pair so a what-if can run against a hypothetical
+    /// graph while sharing the structurally-keyed plan cache: stage-1
+    /// preparation, plan-cache lookup and in-batch dedup, parallel solving
+    /// of the remaining jobs, cache publication, and per-query recombination
+    /// with the exact `combine_semantics_plan` composition the one-shot
     /// `semantics_reliability` uses.
     fn execute(
         &self,
         owner: usize,
-        mut prepared: Vec<Result<PreparedQuery, EngineError>>,
-    ) -> Vec<Result<Assembled, EngineError>> {
+        graph: &UncertainGraph,
+        index: &GraphIndex,
+        queries: &[PlannedQuery],
+    ) -> Vec<Result<ReliabilityAnswer, EngineError>> {
+        let mut prepared = self.prepare(graph, index, queries);
         let metrics = self.obs.metrics();
         if let Some(m) = metrics {
             m.batches.inc();
@@ -1067,13 +870,15 @@ impl Engine {
         }
 
         let mut errors = 0u64;
-        let out: Vec<Result<Assembled, EngineError>> = prepared
+        let out: Vec<Result<ReliabilityAnswer, EngineError>> = prepared
             .into_iter()
-            .map(|prep| {
+            .zip(queries)
+            .map(|(prep, q)| {
                 let mut prep = prep?;
                 let mut tb = prep.trace.take();
+                let routes: Vec<Route> = prep.solvers.iter().map(|s| s.route()).collect();
                 let mut parts = Vec::with_capacity(prep.sources.len());
-                for (pi, source) in prep.sources.into_iter().enumerate() {
+                for (pi, (source, route)) in prep.sources.into_iter().zip(&routes).enumerate() {
                     let (result, span) = match source {
                         PartSource::Cached(r) => (r, None),
                         PartSource::Job(j) => {
@@ -1094,9 +899,7 @@ impl Engine {
                         if let Some(id) = id {
                             b.attr(id, "part", pi.to_string());
                             b.attr(id, "cached", if span.is_none() { "true" } else { "false" });
-                            if let Some(route) = prep.routes.get(pi) {
-                                b.attr(id, "route", route.name());
-                            }
+                            b.attr(id, "route", route.name());
                         }
                     }
                     parts.push(result);
@@ -1118,9 +921,20 @@ impl Engine {
                 if let (Some(m), Some(t0)) = (metrics, t0) {
                     m.combine_seconds.observe_duration(t0.elapsed());
                 }
-                Ok(Assembled {
-                    pro,
-                    routes: prep.routes,
+                let value_cap = q.semantics.semantics().value_upper(graph);
+                Ok(ReliabilityAnswer {
+                    semantics: q.semantics,
+                    estimate: pro.estimate,
+                    lower_bound: pro.lower_bound,
+                    upper_bound: pro.upper_bound,
+                    exact: pro.exact,
+                    ci: confidence_interval(&pro, q.budget.confidence, value_cap),
+                    pb: pro.pb,
+                    samples_used: pro.samples_used,
+                    variance_estimate: pro.variance_estimate,
+                    preprocess_stats: pro.preprocess_stats,
+                    parts: pro.parts,
+                    routes,
                     cache_hits: prep.cache_hits,
                     cache_misses: prep.cache_misses,
                     trace: tb.map(TraceBuilder::finish),
@@ -1206,6 +1020,10 @@ mod tests {
         .unwrap()
     }
 
+    fn kterminal(terminals: Vec<VertexId>, config: ProConfig) -> PlannedQuery {
+        PlannedQuery::fixed(SemanticsSpec::KTerminal, terminals, config)
+    }
+
     fn sampling_cfg(seed: u64) -> ProConfig {
         ProConfig {
             s2bdd: S2BddConfig {
@@ -1223,11 +1041,11 @@ mod tests {
         let g = lollipop();
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("lollipop", g.clone());
-        let queries: Vec<ReliabilityQuery> = [vec![0, 4], vec![0, 7], vec![1, 4, 6], vec![0, 4]]
+        let queries: Vec<PlannedQuery> = [vec![0, 4], vec![0, 7], vec![1, 4, 6], vec![0, 4]]
             .into_iter()
-            .map(|t| ReliabilityQuery::with_config(t, sampling_cfg(11)))
+            .map(|t| kterminal(t, sampling_cfg(11)))
             .collect();
-        let answers = engine.run_batch(id, &queries).unwrap();
+        let answers = engine.run_planned_batch(id, &queries).unwrap();
         for (q, a) in queries.iter().zip(&answers) {
             let a = a.as_ref().unwrap();
             let solo = pro_reliability(&g, &q.terminals, q.config).unwrap();
@@ -1240,7 +1058,7 @@ mod tests {
         // Within one batch the duplicate 4th query joins the first query's
         // jobs (counted as misses — nothing was in the cache yet). A second
         // identical batch is then served entirely from the cache.
-        let again = engine.run_batch(id, &queries).unwrap();
+        let again = engine.run_planned_batch(id, &queries).unwrap();
         for (first, second) in answers.iter().zip(&again) {
             let (first, second) = (first.as_ref().unwrap(), second.as_ref().unwrap());
             assert_eq!(second.cache_misses, 0);
@@ -1254,9 +1072,9 @@ mod tests {
         let g = lollipop();
         let mut engine = Engine::new(EngineConfig::sequential());
         let id = engine.register("lollipop", g);
-        let q = [ReliabilityQuery::with_config(vec![0, 7], sampling_cfg(3))];
-        let a1 = engine.run_batch(id, &q).unwrap().remove(0).unwrap();
-        let a2 = engine.run_batch(id, &q).unwrap().remove(0).unwrap();
+        let q = [kterminal(vec![0, 7], sampling_cfg(3))];
+        let a1 = engine.run_planned_batch(id, &q).unwrap().remove(0).unwrap();
+        let a2 = engine.run_planned_batch(id, &q).unwrap().remove(0).unwrap();
         assert!(a1.cache_misses > 0);
         assert_eq!(a2.cache_misses, 0);
         assert_eq!(a2.cache_hits, a1.cache_hits + a1.cache_misses);
@@ -1271,12 +1089,12 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("lollipop", g);
         let queries = [
-            ReliabilityQuery::new(vec![0, 4]),
-            ReliabilityQuery::new(vec![0, 99]), // out of range
-            ReliabilityQuery::new(vec![]),      // empty
-            ReliabilityQuery::new(vec![0, 7]),
+            kterminal(vec![0, 4], ProConfig::default()),
+            kterminal(vec![0, 99], ProConfig::default()), // out of range
+            kterminal(vec![], ProConfig::default()),      // empty
+            kterminal(vec![0, 7], ProConfig::default()),
         ];
-        let answers = engine.run_batch(id, &queries).unwrap();
+        let answers = engine.run_planned_batch(id, &queries).unwrap();
         assert!(answers[0].is_ok());
         assert!(matches!(answers[1], Err(EngineError::Graph(_))));
         assert!(matches!(answers[2], Err(EngineError::Graph(_))));
@@ -1288,7 +1106,7 @@ mod tests {
         let engine = Engine::new(EngineConfig::default());
         let bogus = GraphId(7);
         assert!(matches!(
-            engine.run_batch(bogus, &[]),
+            engine.run_planned_batch(bogus, &[]),
             Err(EngineError::UnknownGraph(_))
         ));
     }
@@ -1296,9 +1114,9 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_answers() {
         let g = lollipop();
-        let queries: Vec<ReliabilityQuery> = [vec![0, 7], vec![1, 4, 6], vec![0, 4]]
+        let queries: Vec<PlannedQuery> = [vec![0, 7], vec![1, 4, 6], vec![0, 4]]
             .into_iter()
-            .map(|t| ReliabilityQuery::with_config(t, sampling_cfg(5)))
+            .map(|t| kterminal(t, sampling_cfg(5)))
             .collect();
         let mut seq = Engine::new(EngineConfig {
             workers: 1,
@@ -1310,8 +1128,8 @@ mod tests {
             plan_cache_capacity: 0,
         });
         let pid = par.register("g", g);
-        let a = seq.run_batch(sid, &queries).unwrap();
-        let b = par.run_batch(pid, &queries).unwrap();
+        let a = seq.run_planned_batch(sid, &queries).unwrap();
+        let b = par.run_planned_batch(pid, &queries).unwrap();
         for (x, y) in a.iter().zip(&b) {
             let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
             assert_eq!(x.estimate.to_bits(), y.estimate.to_bits());
@@ -1324,7 +1142,9 @@ mod tests {
         let g = UncertainGraph::new(4, [(0, 1, 0.9), (2, 3, 0.9)]).unwrap();
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("disc", g);
-        let a = engine.run(id, &ReliabilityQuery::new(vec![0, 2])).unwrap();
+        let a = engine
+            .run_planned(id, &kterminal(vec![0, 2], ProConfig::default()))
+            .unwrap();
         assert_eq!(a.estimate, 0.0);
         assert!(a.exact);
     }
@@ -1447,22 +1267,38 @@ mod tests {
 
     #[test]
     fn degenerate_variance_never_yields_a_certain_estimate() {
-        // Near-certain edges: every sampled world connects, the Wald
-        // variance is exactly 0, and without the rule-of-three guard the
-        // "95% CI" would be the lying point interval [1, 1].
-        let g = netrel_datasets::clique_uniform(50, 0.95);
-        let mut engine = Engine::new(EngineConfig::default());
-        let id = engine.register("hot-clique", g);
-        let a = engine
-            .run_planned(id, &PlannedQuery::new(vec![0, 49], PlanBudget::default()))
-            .unwrap();
-        assert!(!a.exact);
-        assert_eq!(a.estimate, 1.0, "every draw connects");
-        assert_eq!(a.variance_estimate, 0.0);
-        let slack = 3.0 / a.samples_used as f64;
-        assert!((a.ci.lower - (1.0 - slack)).abs() < 1e-12, "{:?}", a.ci);
-        assert_eq!(a.ci.upper, 1.0);
-        assert!(a.ci.width() > 0.0);
+        // Every sampled world connects, the Wald variance is exactly 0, and
+        // without the rule-of-three guard the "95% CI" would be the lying
+        // point interval [1, 1]. Planned: near-certain edges on a clique.
+        // Fixed: a width-0 diagram on a 4-cycle whose 10 draws all agree.
+        let cycle =
+            UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
+        let width0 = ProConfig {
+            s2bdd: S2BddConfig {
+                max_width: 0,
+                samples: 10,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for (g, q) in [
+            (
+                netrel_datasets::clique_uniform(50, 0.95),
+                PlannedQuery::new(vec![0, 49], PlanBudget::default()),
+            ),
+            (cycle, kterminal(vec![0, 1, 2], width0)),
+        ] {
+            let mut engine = Engine::new(EngineConfig::default());
+            let id = engine.register("g", g);
+            let a = engine.run_planned(id, &q).unwrap();
+            assert!(!a.exact);
+            assert_eq!(a.estimate, 1.0, "every draw connects");
+            assert_eq!(a.variance_estimate, 0.0);
+            let slack = 3.0 / a.samples_used as f64;
+            assert!((a.ci.lower - (1.0 - slack)).abs() < 1e-12, "{:?}", a.ci);
+            assert_eq!(a.ci.upper, 1.0);
+            assert!(a.ci.width() > 0.0);
+        }
     }
 
     /// Complete graph on 7 vertices (21 edges — above the d-hop exact
@@ -1492,11 +1328,11 @@ mod tests {
             (SemanticsSpec::DHop { d: 2 }, vec![0, 7]), // trivially zero
             (SemanticsSpec::ReachSet, vec![3]),
         ];
-        let queries: Vec<ReliabilityQuery> = cases
+        let queries: Vec<PlannedQuery> = cases
             .iter()
-            .map(|(s, t)| ReliabilityQuery::with_semantics(*s, t.clone(), sampling_cfg(11)))
+            .map(|(s, t)| PlannedQuery::fixed(*s, t.clone(), sampling_cfg(11)))
             .collect();
-        let answers = engine.run_batch(id, &queries).unwrap();
+        let answers = engine.run_planned_batch(id, &queries).unwrap();
         for (q, a) in queries.iter().zip(&answers) {
             let a = a.as_ref().unwrap();
             let solo = netrel_core::semantics_reliability(&g, q.semantics, &q.terminals, q.config)
@@ -1530,10 +1366,7 @@ mod tests {
         for (spec, t) in cases {
             let truth = netrel_core::oracle_value(&g, spec, &t).unwrap();
             let a = engine
-                .run(
-                    id,
-                    &ReliabilityQuery::with_semantics(spec, t, ProConfig::default()),
-                )
+                .run_planned(id, &PlannedQuery::fixed(spec, t, ProConfig::default()))
                 .unwrap();
             assert!(
                 (a.estimate - truth).abs() < 1e-9,
@@ -1545,18 +1378,14 @@ mod tests {
 
     #[test]
     fn wide_dhop_batch_matches_oneshot_bitwise() {
-        // 21 edges at d = 2: the classic path must take the hop-bounded
+        // 21 edges at d = 2: the fixed policy must take the hop-bounded
         // sampling fallback, with the same per-part seed as the one-shot
         // pipeline.
         let g = k7();
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("k7", g.clone());
-        let q = ReliabilityQuery::with_semantics(
-            SemanticsSpec::DHop { d: 2 },
-            vec![0, 6],
-            sampling_cfg(9),
-        );
-        let a = engine.run(id, &q).unwrap();
+        let q = PlannedQuery::fixed(SemanticsSpec::DHop { d: 2 }, vec![0, 6], sampling_cfg(9));
+        let a = engine.run_planned(id, &q).unwrap();
         let solo =
             netrel_core::semantics_reliability(&g, q.semantics, &q.terminals, q.config).unwrap();
         assert!(!a.exact, "oversized d-hop part must be sampled");

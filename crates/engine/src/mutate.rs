@@ -27,7 +27,7 @@
 //!
 //! On top of committed mutations sit two drivers:
 //!
-//! * [`Engine::evaluate_with`] answers a planned query against a
+//! * [`Engine::evaluate_with`] answers a query against a
 //!   *hypothetical* mutation set without committing anything — the
 //!   mutations are applied to a clone, a fresh index is built, and the
 //!   answer is bit-identical to committing the set and querying.
@@ -290,11 +290,11 @@ impl Engine {
         Ok(&self.registered(id)?.journal)
     }
 
-    /// Answer a planned query against a **hypothetical** mutation set,
-    /// committing nothing: the mutations are applied in order to a clone
-    /// of the registered graph, a fresh index is built for it, and the
-    /// query runs through the normal planned pipeline. The answer is
-    /// bit-identical to committing the set and calling
+    /// Answer a query against a **hypothetical** mutation set, committing
+    /// nothing: the mutations are applied in order to a clone of the
+    /// registered graph, a fresh index is built for it, and the query runs
+    /// through the normal query pipeline. The answer is bit-identical to
+    /// committing the set and calling
     /// [`run_planned`](Engine::run_planned) — the rebuild-equivalence
     /// guarantee makes the committed index equal the fresh one, and the
     /// pipeline is deterministic in `(graph, index, query)`.
@@ -318,19 +318,9 @@ impl Engine {
         if let Some(m) = self.obs.metrics() {
             m.whatif_queries.inc();
         }
-        let prepared = self.prepare_planned(&graph, &index, std::slice::from_ref(query));
-        let assembled = self
-            .execute(id.0, prepared)
+        self.execute(id.0, &graph, &index, std::slice::from_ref(query))
             .pop()
-            .expect("one result per query");
-        assembled.map(|a| {
-            ReliabilityAnswer::from_assembled(
-                query.semantics,
-                a,
-                &query.budget,
-                query.semantics.semantics().value_upper(&graph),
-            )
-        })
+            .expect("one result per query")
     }
 
     /// Greedy reliability maximization: choose up to `k` of `candidates`

@@ -242,6 +242,23 @@ pub enum PartSolver {
     Enumeration,
 }
 
+impl PartSolver {
+    /// The [`Route`] this solver belongs to, as answers report it: an
+    /// S2BDD run is [`Route::Exact`] at unbounded width and
+    /// [`Route::Bounded`] otherwise, and enumeration is exact. The planner's
+    /// own routes follow the same mapping, so answers name routes the same
+    /// way under either [`Policy`](crate::Policy).
+    pub fn route(self) -> Route {
+        match self {
+            PartSolver::S2Bdd(cfg) if cfg.max_width == usize::MAX => Route::Exact,
+            PartSolver::S2Bdd(_) => Route::Bounded,
+            PartSolver::Enumeration => Route::Exact,
+            PartSolver::Sampling { .. } => Route::Sampling,
+            PartSolver::BitSampling { .. } => Route::BitSampling,
+        }
+    }
+}
+
 /// What the cost model predicted for one part.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostEstimate {
@@ -536,6 +553,7 @@ mod tests {
             &PlanBudget::default(),
         );
         assert_eq!(plan.route, Route::Exact);
+        assert_eq!(plan.route, plan.solver.route());
         match plan.solver {
             PartSolver::S2Bdd(cfg) => {
                 assert_eq!(cfg.max_width, usize::MAX);
@@ -560,6 +578,7 @@ mod tests {
             &PlanBudget::default(),
         );
         assert_eq!(plan.route, Route::BitSampling);
+        assert_eq!(plan.route, plan.solver.route());
         match plan.solver {
             PartSolver::BitSampling { samples, .. } => {
                 assert_eq!(samples, PlanBudget::default().sample_budget);
@@ -579,6 +598,7 @@ mod tests {
         };
         let plan = plan_part(&conn(&g, &[0, 59]), base, 0, &PlanBudget::default());
         assert_eq!(plan.route, Route::Sampling);
+        assert_eq!(plan.route, plan.solver.route());
         match plan.solver {
             PartSolver::Sampling { estimator, .. } => {
                 assert_eq!(estimator, EstimatorKind::HorvitzThompson);
@@ -601,6 +621,7 @@ mod tests {
         );
         assert_eq!(plan.route, Route::Exact);
         assert_eq!(plan.solver, PartSolver::Enumeration);
+        assert_eq!(plan.route, plan.solver.route());
         assert_eq!(plan.estimate.predicted_nodes, 512);
         assert_eq!(plan.estimate.frontier_width, 0);
     }
@@ -657,6 +678,7 @@ mod tests {
         assert!(est.predicted_nodes > budget.node_budget);
         let plan = plan_part(&conn(&g, &t), S2BddConfig::default(), 0, &budget);
         assert_eq!(plan.route, Route::Bounded);
+        assert_eq!(plan.route, plan.solver.route());
         match plan.solver {
             PartSolver::S2Bdd(cfg) => {
                 assert!(cfg.max_width >= MIN_BOUNDED_WIDTH && cfg.max_width <= 10_000);

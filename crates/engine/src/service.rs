@@ -33,16 +33,17 @@
 //! batch level first, per-query override wins. `terminals` may be omitted
 //! for `"all-terminal"`. Every answer echoes the semantics it computed.
 //!
-//! Passing `"plan": true` or a `"budget"` object routes the request through
-//! the **adaptive planner** ([`Engine::run_planned_batch`]): `budget`
-//! accepts `nodes`, `samples`, `time_ms`, and `confidence`
-//! (`0.9`/`0.95`/`0.99`), each defaulting to [`PlanBudget::default`]
-//! (`crate::PlanBudget`); planned answers additionally carry `ci`
-//! (`{lower, upper, level}`) and `routes` (one of `"exact"`, `"bounded"`,
-//! `"sampling"` per part). In a `batch`, one planned query plans the whole
-//! batch, with the top-level budget as the default. The full protocol —
-//! shapes, field tables, netcat/curl examples — is documented in
-//! `docs/protocol.md`.
+//! Every query runs through [`Engine::run_planned_batch`]. By default it
+//! uses [`Policy::Fixed`]: the knobs above run as given. Passing
+//! `"plan": true` or a `"budget"` object selects the **adaptive planner**
+//! ([`Policy::Budgeted`]): `budget` accepts `nodes`, `samples`, `time_ms`,
+//! and `confidence` (`0.9`/`0.95`/`0.99`), each defaulting to
+//! [`PlanBudget::default`] (`crate::PlanBudget`). Every answer carries `ci`
+//! (`{lower, upper, level}`, at 0.95 unless a budget sets it) and `routes`
+//! (one of `"exact"`, `"bounded"`, `"sampling"`, `"bit_sampling"` per
+//! part). In a `batch`, one planned query plans the whole batch, with the
+//! top-level budget as the default. The full protocol — shapes, field
+//! tables, netcat/curl examples — is documented in `docs/protocol.md`.
 //!
 //! ## Mutations
 //!
@@ -75,8 +76,8 @@
 //! query in request order, so one bad query cannot poison a batch.
 
 use crate::{
-    Engine, EngineError, IndexPatch, Mutation, MutationOutcome, PlanBudget, PlannedQuery, Recorder,
-    ReliabilityQuery,
+    Engine, EngineError, IndexPatch, Mutation, MutationOutcome, PlanBudget, PlannedQuery, Policy,
+    Recorder, ReliabilityAnswer,
 };
 use netrel_core::{ProConfig, SemanticsSpec};
 use netrel_numeric::ConfidenceLevel;
@@ -84,6 +85,13 @@ use netrel_s2bdd::{EstimatorKind, S2BddConfig};
 use netrel_ugraph::UncertainGraph;
 use serde::{Serialize, Value};
 use std::time::Instant;
+
+/// Largest `vertices` a `register` request may declare. The graph allocates
+/// one adjacency list per vertex before it reads any edge, and no request
+/// bytes back the count, so it is bounded here: 2^24 keeps the adjacency
+/// headers near 400 MB, about 93× the largest `netrel-datasets` graph.
+/// It must not exceed `u32::MAX`, the packed kernel's vertex id width.
+const MAX_VERTICES: u64 = 1 << 24;
 
 /// Stateful NDJSON request handler wrapping an [`Engine`].
 pub struct Service {
@@ -165,7 +173,12 @@ impl Service {
 
     fn op_register(&mut self, request: &Value) -> Result<Value, String> {
         let name = str_field(request, "name")?;
-        let vertices = u64_field(request, "vertices")? as usize;
+        let vertices = u64_field(request, "vertices")?;
+        if vertices > MAX_VERTICES {
+            return Err(format!(
+                "`vertices` {vertices} exceeds the limit of {MAX_VERTICES}"
+            ));
+        }
         let edges = match request.get("edges") {
             Some(Value::Seq(items)) => items
                 .iter()
@@ -174,7 +187,7 @@ impl Service {
             Some(_) => return Err("`edges` must be an array of [u, v, p] triples".into()),
             None => return Err("missing field `edges`".into()),
         };
-        let graph = UncertainGraph::new(vertices, edges).map_err(|e| e.to_string())?;
+        let graph = UncertainGraph::new(vertices as usize, edges).map_err(|e| e.to_string())?;
         let (nv, ne) = (graph.num_vertices(), graph.num_edges());
         self.engine.register(name, graph);
         Ok(Value::Map(vec![
@@ -188,31 +201,16 @@ impl Service {
 
     fn op_query(&mut self, request: &Value) -> Result<Value, String> {
         let id = self.graph_field(request)?;
-        let query = parse_query(request, request)?;
-        // Tracing rides on the planned path (the classic path has no
-        // per-answer trace slot), so `trace: true` implies planning.
-        let answer = if wants_plan(request) || wants_trace(request) {
-            let mut budget = PlanBudget::default();
-            apply_budget(request, &mut budget)?;
-            let mut planned = PlannedQuery::with_semantics(
-                query.semantics,
-                query.terminals,
-                query.config,
-                budget,
-            );
-            if wants_trace(request) {
-                planned = planned.with_trace();
-            }
-            self.engine
-                .run_planned(id, &planned)
-                .map_err(|e: EngineError| e.to_string())?
-                .to_value()
-        } else {
-            self.engine
-                .run(id, &query)
-                .map_err(|e: EngineError| e.to_string())?
-                .to_value()
-        };
+        let mut query = parse_query(request, request)?;
+        // Per the protocol, `trace: true` selects the planner too.
+        if wants_plan(request) || wants_trace(request) {
+            plan_query(&mut query, request, request)?;
+        }
+        let answer = self
+            .engine
+            .run_planned(id, &query)
+            .map_err(|e: EngineError| e.to_string())?
+            .to_value();
         Ok(Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("query".into())),
@@ -227,46 +225,27 @@ impl Service {
             Some(_) => return Err("`queries` must be an array".into()),
             None => return Err("missing field `queries`".into()),
         };
-        let queries = items
+        let mut queries = items
             .iter()
             .map(|item| parse_query(item, request))
             .collect::<Result<Vec<_>, _>>()?;
         // One planned query (or a top-level `plan`/`budget`/`trace`) plans
-        // the whole batch: budgets layer like solver knobs, batch level
-        // first. Tracing is per query: only opted-in slots carry a trace.
-        let planned_batch = wants_plan(request)
+        // the whole batch.
+        if wants_plan(request)
             || wants_trace(request)
-            || items.iter().any(|i| wants_plan(i) || wants_trace(i));
-        let rendered: Vec<Value> = if planned_batch {
-            let planned = items
-                .iter()
-                .zip(queries)
-                .map(|(item, q)| {
-                    let mut budget = PlanBudget::default();
-                    apply_budget(request, &mut budget)?;
-                    apply_budget(item, &mut budget)?;
-                    let mut planned =
-                        PlannedQuery::with_semantics(q.semantics, q.terminals, q.config, budget);
-                    if wants_trace(request) || wants_trace(item) {
-                        planned = planned.with_trace();
-                    }
-                    Ok(planned)
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            self.engine
-                .run_planned_batch(id, &planned)
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .map(answer_slot)
-                .collect()
-        } else {
-            self.engine
-                .run_batch(id, &queries)
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .map(answer_slot)
-                .collect()
-        };
+            || items.iter().any(|i| wants_plan(i) || wants_trace(i))
+        {
+            for (item, query) in items.iter().zip(&mut queries) {
+                plan_query(query, request, item)?;
+            }
+        }
+        let rendered: Vec<Value> = self
+            .engine
+            .run_planned_batch(id, &queries)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .map(answer_slot)
+            .collect();
         Ok(Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("batch".into())),
@@ -331,19 +310,13 @@ impl Service {
     fn op_whatif(&mut self, request: &Value) -> Result<Value, String> {
         let id = self.graph_field(request)?;
         let mutations = mutations_field(request, "mutations")?;
-        let query = parse_query(request, request)?;
-        // What-if evaluation always runs the planned pipeline; `budget`
-        // and `trace` work exactly as on a planned `query`.
-        let mut budget = PlanBudget::default();
-        apply_budget(request, &mut budget)?;
-        let mut planned =
-            PlannedQuery::with_semantics(query.semantics, query.terminals, query.config, budget);
-        if wants_trace(request) {
-            planned = planned.with_trace();
-        }
+        let mut query = parse_query(request, request)?;
+        // What-if evaluation is always planned; `budget` and `trace` work
+        // exactly as on a planned `query`.
+        plan_query(&mut query, request, request)?;
         let answer = self
             .engine
-            .evaluate_with(id, &mutations, &planned)
+            .evaluate_with(id, &mutations, &query)
             .map_err(|e| e.to_string())?;
         Ok(Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
@@ -400,7 +373,7 @@ fn err_response(message: impl Into<String>) -> Value {
     ])
 }
 
-fn answer_slot<T: Serialize>(result: Result<T, EngineError>) -> Value {
+fn answer_slot(result: Result<ReliabilityAnswer, EngineError>) -> Value {
     match result {
         Ok(answer) => Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
@@ -418,6 +391,17 @@ fn wants_plan(v: &Value) -> bool {
 /// Whether one request (or query object) opts into span tracing.
 fn wants_trace(v: &Value) -> bool {
     matches!(v.get("trace"), Some(Value::Bool(true)))
+}
+
+/// Switch a parsed query to [`Policy::Budgeted`]: its budget layers like
+/// the solver knobs (`defaults` first, then `item`), and it is traced when
+/// either object asks.
+fn plan_query(query: &mut PlannedQuery, defaults: &Value, item: &Value) -> Result<(), String> {
+    query.policy = Policy::Budgeted;
+    apply_budget(defaults, &mut query.budget)?;
+    apply_budget(item, &mut query.budget)?;
+    query.trace = wants_trace(defaults) || wants_trace(item);
+    Ok(())
 }
 
 /// Layer one request object's `budget` fields onto `budget` (absent fields
@@ -675,9 +659,10 @@ fn parse_semantics(item: &Value, defaults: &Value) -> Result<SemanticsSpec, Stri
     }
 }
 
-/// Parse one query object; `defaults` (the enclosing request, for `batch`)
-/// supplies fallback solver knobs and semantics.
-fn parse_query(item: &Value, defaults: &Value) -> Result<ReliabilityQuery, String> {
+/// Parse one query object as a [`Policy::Fixed`] query; `defaults` (the
+/// enclosing request, for `batch`) supplies fallback solver knobs and
+/// semantics.
+fn parse_query(item: &Value, defaults: &Value) -> Result<PlannedQuery, String> {
     let semantics = parse_semantics(item, defaults)?;
     let terminals = match item.get("terminals") {
         Some(Value::Seq(ts)) => ts
@@ -703,7 +688,7 @@ fn parse_query(item: &Value, defaults: &Value) -> Result<ReliabilityQuery, Strin
         apply_knobs(layer, &mut s2bdd)?;
     }
 
-    Ok(ReliabilityQuery::with_semantics(
+    Ok(PlannedQuery::fixed(
         semantics,
         terminals,
         ProConfig {
@@ -792,6 +777,8 @@ mod tests {
             r#"{"op":"query","graph":"g"}"#,
             r#"{"op":"query","graph":"g","terminals":"x"}"#,
             r#"{"op":"register","name":"h","vertices":2,"edges":[[0,1,7.5]]}"#,
+            r#"{"op":"register","name":"h","vertices":1000000000000,"edges":[]}"#,
+            r#"{"op":"register","name":"h","vertices":18446744073709551615,"edges":[]}"#,
             r#"{"op":"query","graph":"g","terminals":[0,1],"estimator":"bogus"}"#,
         ] {
             let v = parse(&s.handle_line(bad));
@@ -847,9 +834,20 @@ mod tests {
             }
             other => panic!("routes missing: {other:?}"),
         }
-        // Classic queries stay CI-free.
-        let classic = parse(&s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2]}"#));
-        assert!(classic.get("answer").unwrap().get("ci").is_none());
+        // Fixed queries answer in the same shape; this fixture is exact, so
+        // their interval is the degenerate [estimate, estimate].
+        let fixed = parse(&s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2]}"#));
+        let answer = fixed.get("answer").expect("answer present");
+        assert_eq!(answer.get("exact"), Some(&Value::Bool(true)));
+        let ci = answer.get("ci").expect("fixed answers carry a ci");
+        assert_eq!(ci.get("lower"), answer.get("estimate"));
+        assert_eq!(ci.get("upper"), answer.get("estimate"));
+        match (answer.get("routes"), answer.get("parts")) {
+            (Some(Value::Seq(routes)), Some(Value::Seq(parts))) => {
+                assert_eq!(routes.len(), parts.len())
+            }
+            other => panic!("routes or parts missing: {other:?}"),
+        }
     }
 
     #[test]

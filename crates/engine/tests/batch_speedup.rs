@@ -3,9 +3,9 @@
 //! `pro_reliability` calls (shared preprocessing + warm plan cache), while
 //! agreeing with them on every answer.
 
-use netrel_core::{pro_reliability, ProConfig};
+use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
 use netrel_datasets::Dataset;
-use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, PlannedQuery};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::traversal::connected_components;
 use netrel_ugraph::{UncertainGraph, VertexId};
@@ -55,8 +55,14 @@ fn hundred_query_batch_beats_oneshot_and_agrees() {
     // 100 queries over 10 distinct terminal pairs — the hot-pair workload of
     // the s-t benchmark literature.
     let pairs = overlapping_pairs(&g, 10);
-    let queries: Vec<ReliabilityQuery> = (0..100)
-        .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].clone(), cfg))
+    let queries: Vec<PlannedQuery> = (0..100)
+        .map(|i| {
+            PlannedQuery::fixed(
+                SemanticsSpec::KTerminal,
+                pairs[i % pairs.len()].clone(),
+                cfg,
+            )
+        })
         .collect();
 
     // Independent one-shot calls (the status quo ante).
@@ -77,7 +83,7 @@ fn hundred_query_batch_beats_oneshot_and_agrees() {
     let id = engine.register("dblp1", g.clone());
     let mut answers = Vec::with_capacity(queries.len());
     for chunk in queries.chunks(10) {
-        answers.extend(engine.run_batch(id, chunk).unwrap());
+        answers.extend(engine.run_planned_batch(id, chunk).unwrap());
     }
     let engine_secs = t1.elapsed().as_secs_f64();
 

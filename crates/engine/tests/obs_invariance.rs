@@ -1,11 +1,11 @@
 //! Bit-identity regression suite for the observability layer: an engine
 //! with a live [`Recorder`] (and per-query tracing) must return answers
 //! byte-identical to an uninstrumented engine, across all five semantics
-//! and both the classic and planned paths. Instrumentation reads clocks
-//! and bumps atomics — it must never touch an RNG or reorder work.
+//! and both the fixed and budgeted routing policies. Instrumentation reads
+//! clocks and bumps atomics — it must never touch an RNG or reorder work.
 
 use netrel_core::{ProConfig, SemanticsSpec};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Recorder, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Recorder};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
 
@@ -55,18 +55,20 @@ fn five_semantics() -> Vec<(SemanticsSpec, Vec<usize>)> {
 
 #[test]
 fn classic_answers_are_bit_identical_under_instrumentation() {
-    let queries: Vec<ReliabilityQuery> = five_semantics()
+    let queries: Vec<PlannedQuery> = five_semantics()
         .into_iter()
-        .map(|(s, t)| ReliabilityQuery::with_semantics(s, t, sampling_cfg(11)))
+        .map(|(s, t)| PlannedQuery::fixed(s, t, sampling_cfg(11)))
         .collect();
+    // Tracing on top of metrics: the maximally-instrumented path.
+    let traced: Vec<PlannedQuery> = queries.iter().map(|q| q.clone().with_trace()).collect();
 
     let mut plain = Engine::new(EngineConfig::default());
     let pid = plain.register("g", lollipop());
     let mut inst = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
     let iid = inst.register("g", lollipop());
 
-    let a = plain.run_batch(pid, &queries).unwrap();
-    let b = inst.run_batch(iid, &queries).unwrap();
+    let a = plain.run_planned_batch(pid, &queries).unwrap();
+    let b = inst.run_planned_batch(iid, &traced).unwrap();
     for (q, (x, y)) in queries.iter().zip(a.iter().zip(&b)) {
         let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
         assert_eq!(
@@ -80,6 +82,9 @@ fn classic_answers_are_bit_identical_under_instrumentation() {
         assert_eq!(x.variance_estimate.to_bits(), y.variance_estimate.to_bits());
         assert_eq!(x.samples_used, y.samples_used);
         assert_eq!(x.exact, y.exact);
+        let trace = y.trace.as_ref().expect("traced query carries a span tree");
+        assert!(trace.find("query").is_some());
+        assert!(trace.find("combine").is_some(), "{:?}", q.semantics);
     }
     // The recorder actually recorded: this was not a no-op comparison.
     let m = inst.metrics_snapshot().unwrap();

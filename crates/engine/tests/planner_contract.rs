@@ -7,8 +7,8 @@
 //! 3. Planned answers are deterministic across engines, worker counts, and
 //!    cache states.
 
-use netrel_core::{pro_reliability, ProConfig};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, ReliabilityQuery, Route};
+use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Route};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
 
@@ -109,7 +109,8 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
     // Exact-only under the same node cap: the solver trips the cap and,
     // with no sampling budget, degrades to a useless [~0, ~1] envelope —
     // this is the failure mode the planner exists to avoid.
-    let capped_exact = ReliabilityQuery::with_config(
+    let capped_exact = PlannedQuery::fixed(
+        SemanticsSpec::KTerminal,
         vec![0, 54],
         ProConfig {
             s2bdd: S2BddConfig {
@@ -119,7 +120,7 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
             ..Default::default()
         },
     );
-    let crashed = engine.run(id, &capped_exact).unwrap();
+    let crashed = engine.run_planned(id, &capped_exact).unwrap();
     assert!(
         !crashed.exact,
         "a 55-clique cannot finish under the node cap"

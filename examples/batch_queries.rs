@@ -46,8 +46,14 @@ fn main() {
         },
         ..Default::default()
     };
-    let queries: Vec<ReliabilityQuery> = (0..60)
-        .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].to_vec(), cfg))
+    let queries: Vec<PlannedQuery> = (0..60)
+        .map(|i| {
+            PlannedQuery::fixed(
+                SemanticsSpec::KTerminal,
+                pairs[i % pairs.len()].to_vec(),
+                cfg,
+            )
+        })
         .collect();
 
     // One-shot: every call redoes bridges + 2ECC + forest from scratch.
@@ -67,9 +73,9 @@ fn main() {
     let t1 = Instant::now();
     let mut engine = Engine::new(EngineConfig::default());
     let id = engine.register("tokyo", g.clone());
-    let mut answers: Vec<QueryAnswer> = Vec::with_capacity(queries.len());
+    let mut answers: Vec<ReliabilityAnswer> = Vec::with_capacity(queries.len());
     for chunk in queries.chunks(10) {
-        for a in engine.run_batch(id, chunk).unwrap() {
+        for a in engine.run_planned_batch(id, chunk).unwrap() {
             answers.push(a.unwrap());
         }
     }

@@ -52,8 +52,8 @@ fn main() {
         g.num_edges()
     );
     for (spec, terminals, what) in cases {
-        let q = ReliabilityQuery::with_semantics(spec, terminals.clone(), ProConfig::default());
-        let a = engine.run(id, &q).unwrap();
+        let q = PlannedQuery::fixed(spec, terminals.clone(), ProConfig::default());
+        let a = engine.run_planned(id, &q).unwrap();
         let truth = oracle_value(&g, spec, &terminals).unwrap();
         assert!(
             (a.estimate - truth).abs() < 1e-9,

@@ -58,8 +58,7 @@ pub mod prelude {
     pub use netrel_core::prelude::*;
     pub use netrel_datasets::{Dataset, ProbModel};
     pub use netrel_engine::{
-        Engine, EngineConfig, PlanBudget, PlannedQuery, QueryAnswer, ReliabilityAnswer,
-        ReliabilityQuery, Route,
+        Engine, EngineConfig, PlanBudget, PlannedQuery, Policy, ReliabilityAnswer, Route,
     };
     pub use netrel_ugraph::{GraphStats, UncertainGraph};
 }

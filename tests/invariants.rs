@@ -164,11 +164,11 @@ proptest! {
         // Issue the query twice plus a decoy so the second run crosses a
         // warm cache; every answer must still equal the one-shot result.
         let queries = vec![
-            ReliabilityQuery::with_config(t.clone(), cfg),
-            ReliabilityQuery::with_config(vec![t[0]], cfg),
-            ReliabilityQuery::with_config(t.clone(), cfg),
+            PlannedQuery::fixed(SemanticsSpec::KTerminal, t.clone(), cfg),
+            PlannedQuery::fixed(SemanticsSpec::KTerminal, vec![t[0]], cfg),
+            PlannedQuery::fixed(SemanticsSpec::KTerminal, t.clone(), cfg),
         ];
-        let answers = engine.run_batch(id, &queries).unwrap();
+        let answers = engine.run_planned_batch(id, &queries).unwrap();
         let solo = pro_reliability(&g, &t, cfg).unwrap();
         for i in [0usize, 2] {
             let a = answers[i].as_ref().unwrap();
