@@ -58,7 +58,6 @@ fn main() {
                 let noext_cfg = ProConfig {
                     s2bdd: pro_cfg.s2bdd,
                     preprocess: PreprocessConfig::disabled(),
-                    ..Default::default()
                 };
                 let (_, dt) = time(|| pro_reliability(&g, &t, noext_cfg).unwrap());
                 noext_t += dt;

@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::sampling::{run_streams, SamplingResult};
+use crate::sampling::{run_streams, sampled_part_result, SamplingResult};
 use crate::semantics::{PartComputation, SemPart};
 use netrel_s2bdd::S2BddResult;
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId};
@@ -729,26 +729,7 @@ fn part_impl(
             }
         },
     };
-    Ok(S2BddResult {
-        estimate: r.estimate,
-        lower_bound: 0.0,
-        upper_bound: 1.0,
-        exact: false,
-        samples_requested: cfg.samples,
-        samples_used: r.samples,
-        s_prime_final: cfg.samples,
-        strata: 1,
-        deleted_nodes: 0,
-        variance_estimate: r.variance_estimate,
-        peak_width: 0,
-        peak_memory_bytes: 0,
-        layers_completed: 0,
-        layers_total: part.graph.num_edges(),
-        early_exit: false,
-        node_cap_hit: false,
-        nodes_created: 0,
-        trajectory: None,
-    })
+    Ok(sampled_part_result(r, cfg.samples, part.graph.num_edges()))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The d-hop indicator — "does a sampled world contain an `s`–`t` path of
 //! at most `d` edges?" — depends on path *length*, which the S2BDD's
 //! frontier-connectivity states do not track. This module provides the two
-//! part-level solvers the [`DHop`](crate::semantics::DHop) semantics plugs
-//! into the pipeline instead:
+//! part-level solvers the [`DHop`](crate::SemanticsSpec::DHop) semantics
+//! plugs into the pipeline instead:
 //!
 //! * [`dhop_exact_reliability`] — exact recursive edge conditioning
 //!   (factoring): condition on one undecided edge at a time, pruning whole
@@ -15,7 +15,7 @@
 //!   indicator through the crate's shared seed-stable stream driver, with
 //!   both MC and Horvitz–Thompson estimators.
 
-use crate::sampling::{estimate_indicator, SamplingConfig, SamplingResult};
+use crate::sampling::{estimate_indicator, sampled_part_result, SamplingConfig, SamplingResult};
 use crate::semantics::SemPart;
 use netrel_s2bdd::S2BddResult;
 use netrel_ugraph::{GraphError, HopSampler, UncertainGraph, VertexId};
@@ -244,26 +244,7 @@ pub fn sample_dhop_part(
 ) -> Result<S2BddResult, GraphError> {
     let (s, t) = part_terminals(part)?;
     let r = sample_dhop_reliability(&part.graph, s, t, d, cfg)?;
-    Ok(S2BddResult {
-        estimate: r.estimate,
-        lower_bound: 0.0,
-        upper_bound: 1.0,
-        exact: false,
-        samples_requested: cfg.samples,
-        samples_used: r.samples,
-        s_prime_final: cfg.samples,
-        strata: 1,
-        deleted_nodes: 0,
-        variance_estimate: r.variance_estimate,
-        peak_width: 0,
-        peak_memory_bytes: 0,
-        layers_completed: 0,
-        layers_total: part.graph.num_edges(),
-        early_exit: false,
-        node_cap_hit: false,
-        nodes_created: 0,
-        trajectory: None,
-    })
+    Ok(sampled_part_result(r, cfg.samples, part.graph.num_edges()))
 }
 
 #[cfg(test)]

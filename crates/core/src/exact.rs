@@ -6,7 +6,7 @@
 //! enumerator from `netrel-bdd` remains available as an independent oracle.
 
 use crate::pro::{pro_reliability, ProConfig};
-use crate::semantics::{exact_semantics_part, SemanticsSpec};
+use crate::semantics::{combine_semantics_plan, exact_semantics_part, SemanticsSpec};
 use netrel_preprocess::{GraphIndex, PreprocessConfig};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId};
@@ -20,7 +20,6 @@ pub fn exact_reliability(g: &UncertainGraph, terminals: &[VertexId]) -> Result<f
     let cfg = ProConfig {
         s2bdd: S2BddConfig::exact(),
         preprocess: PreprocessConfig::default(),
-        parallel_parts: false,
     };
     let r = pro_reliability(g, terminals, cfg)?;
     debug_assert!(r.exact, "unbounded-width S2BDD must be exact");
@@ -38,15 +37,14 @@ pub fn exact_semantics_value(
     spec: SemanticsSpec,
     terminals: &[VertexId],
 ) -> Result<f64, GraphError> {
-    let sem = spec.semantics();
     let index = GraphIndex::build(g);
-    let plan = sem.plan(g, &index, terminals, PreprocessConfig::default())?;
+    let plan = spec.plan(g, &index, terminals, PreprocessConfig::default())?;
     let solved = plan
         .parts
         .iter()
         .map(exact_semantics_part)
         .collect::<Result<Vec<_>, _>>()?;
-    let r = sem.combine(&plan, solved);
+    let r = combine_semantics_plan(&plan, solved);
     debug_assert!(r.exact, "exact part solvers must yield an exact combine");
     Ok(r.estimate)
 }

@@ -61,7 +61,7 @@ pub use sampling::{
 pub use semantics::{
     combine_semantics_plan, exact_semantics_part, sample_semantics_part, semantics_reliability,
     semantics_reliability_with_index, solve_semantics_part, PartComputation, PartGroup, SemPart,
-    Semantics, SemanticsPlan, SemanticsSpec,
+    SemanticsPlan, SemanticsSpec,
 };
 
 /// Convenience re-exports for downstream users.
@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::exact::exact_reliability;
     pub use crate::pro::{pro_reliability, st_reliability, ProConfig, ProResult};
     pub use crate::sampling::{sample_reliability, SamplingConfig, SamplingResult};
-    pub use crate::semantics::{semantics_reliability, Semantics, SemanticsSpec};
+    pub use crate::semantics::{semantics_reliability, SemanticsSpec};
     pub use netrel_preprocess::{preprocess, PreprocessConfig};
     pub use netrel_s2bdd::{EstimatorKind, S2Bdd, S2BddConfig, S2BddResult};
     pub use netrel_ugraph::{GraphError, UncertainGraph};

@@ -4,8 +4,8 @@
 //! `Pr[world] · value(world)`, where the per-world value is evaluated
 //! independently of the production pipeline (plain BFS — no preprocessing,
 //! no S2BDD, no sampling). That independence is the point: the oracle is
-//! the ground truth every [`Semantics`](crate::semantics::Semantics)
-//! implementation is validated against in `tests/semantics_contract.rs`.
+//! the ground truth every [`SemanticsSpec`] is validated against in
+//! `tests/semantics_contract.rs`.
 //! Exponential by construction — worlds are capped at
 //! [`ORACLE_EDGE_LIMIT`] edges.
 
@@ -121,9 +121,7 @@ pub fn oracle_value(
                     reason: format!("{} needs exactly two distinct terminals", spec.name()),
                 });
             }
-            // Preserve the caller's (s, t) order — d-hop is symmetric, but
-            // keep the original pair rather than the sorted one for clarity.
-            vec![terminals[0], terminals[1]]
+            t
         }
         SemanticsSpec::KTerminal => g.validate_terminals(terminals)?,
         SemanticsSpec::AllTerminal => {
@@ -184,8 +182,11 @@ mod tests {
         let expect = netrel_bdd::brute_force_reliability(&g, &[0, 2]);
         let got = oracle_value(&g, SemanticsSpec::KTerminal, &[0, 2]).unwrap();
         assert!((got - expect).abs() < 1e-12);
-        let tt = oracle_value(&g, SemanticsSpec::TwoTerminal, &[0, 2]).unwrap();
-        assert_eq!(got.to_bits(), tt.to_bits());
+        // A repeated terminal names the same distinct pair.
+        for t in [[0, 2].as_slice(), &[2, 2, 0]] {
+            let tt = oracle_value(&g, SemanticsSpec::TwoTerminal, t).unwrap();
+            assert_eq!(got.to_bits(), tt.to_bits(), "{t:?}");
+        }
     }
 
     #[test]
@@ -200,12 +201,16 @@ mod tests {
     #[test]
     fn dhop_on_a_path() {
         let g = UncertainGraph::new(3, [(0, 1, 0.6), (1, 2, 0.5)]).unwrap();
-        assert_eq!(
-            oracle_value(&g, SemanticsSpec::DHop { d: 1 }, &[0, 2]).unwrap(),
-            0.0
-        );
-        let d2 = oracle_value(&g, SemanticsSpec::DHop { d: 2 }, &[0, 2]).unwrap();
-        assert!((d2 - 0.3).abs() < 1e-12);
+        // A repeated terminal names the same distinct pair.
+        for t in [[0, 2].as_slice(), &[2, 2, 0]] {
+            assert_eq!(
+                oracle_value(&g, SemanticsSpec::DHop { d: 1 }, t).unwrap(),
+                0.0,
+                "{t:?}"
+            );
+            let d2 = oracle_value(&g, SemanticsSpec::DHop { d: 2 }, t).unwrap();
+            assert!((d2 - 0.3).abs() < 1e-12, "{t:?}: {d2}");
+        }
     }
 
     #[test]

@@ -17,10 +17,6 @@ pub struct ProConfig {
     /// Extension-technique settings. Use [`PreprocessConfig::disabled`] for
     /// the paper's "Pro w/o ext" ablation.
     pub preprocess: PreprocessConfig,
-    /// Solve decomposed components on worker threads (they are independent
-    /// subproblems). Off by default so timing comparisons against the
-    /// single-threaded baselines stay fair.
-    pub parallel_parts: bool,
 }
 
 impl ProConfig {
@@ -30,7 +26,6 @@ impl ProConfig {
         ProConfig {
             s2bdd: S2BddConfig::paper_default(seed),
             preprocess: PreprocessConfig::default(),
-            parallel_parts: false,
         }
     }
 
@@ -39,7 +34,6 @@ impl ProConfig {
         ProConfig {
             s2bdd: S2BddConfig::paper_default(seed),
             preprocess: PreprocessConfig::disabled(),
-            parallel_parts: false,
         }
     }
 }
@@ -167,13 +161,12 @@ pub fn pro_reliability(
 /// identical to [`pro_reliability`]; the index only removes per-call
 /// recomputation of terminal-independent structure.
 ///
-/// Since the semantics refactor this is the k-terminal instantiation of the
-/// generic pipeline
+/// This is the k-terminal instantiation of the generic pipeline
 /// ([`semantics_reliability_with_index`](crate::semantics_reliability_with_index)):
 /// the k-terminal plan is a single group over the preprocessed parts and its
-/// combine step delegates to [`combine_part_results`] verbatim, so routing
-/// through the trait boundary is bit-identical to the historical one-shot
-/// implementation (pinned by `tests/semantics_contract.rs`).
+/// combine step delegates to [`combine_part_results`] verbatim, so the
+/// generic plan/combine pipeline yields the paper's `p_b · Π R̂ᵢ`
+/// composition bit for bit (pinned by `tests/semantics_contract.rs`).
 pub fn pro_reliability_with_index(
     g: &UncertainGraph,
     index: &GraphIndex,
@@ -342,31 +335,6 @@ mod tests {
         let r = pro_reliability(&g, &[0, 2], ProConfig::default()).unwrap();
         assert_eq!(r.estimate, 0.0);
         assert!(r.exact);
-    }
-
-    #[test]
-    fn parallel_parts_bitwise_match_sequential() {
-        // Part seeds are derived from the part index, so the thread schedule
-        // cannot change the draws: results must be identical.
-        let g = lollipop();
-        let t = vec![0, 7];
-        let seq_cfg = ProConfig {
-            s2bdd: S2BddConfig {
-                max_width: 1,
-                samples: 500,
-                seed: 5,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let par_cfg = ProConfig {
-            parallel_parts: true,
-            ..seq_cfg
-        };
-        let a = pro_reliability(&g, &t, seq_cfg).unwrap();
-        let b = pro_reliability(&g, &t, par_cfg).unwrap();
-        assert_eq!(a.estimate, b.estimate);
-        assert_eq!(a.samples_used, b.samples_used);
     }
 
     #[test]

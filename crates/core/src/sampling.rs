@@ -12,7 +12,7 @@
 //! variance) depend on `(samples, estimator, seed)` alone, never on how many
 //! cores `threads = 0` detects at runtime.
 
-use netrel_s2bdd::EstimatorKind;
+use netrel_s2bdd::{EstimatorKind, S2BddResult};
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId, WorldSampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -232,9 +232,8 @@ where
 }
 
 /// Flat-sample one decomposed *part* and shape the outcome as an
-/// [`S2BddResult`](netrel_s2bdd::S2BddResult), so sampling-routed parts
-/// compose with exactly-solved ones through
-/// [`combine_part_results`](crate::combine_part_results).
+/// [`S2BddResult`], so sampling-routed parts compose with exactly-solved
+/// ones through [`combine_part_results`](crate::combine_part_results).
 ///
 /// Flat sampling proves nothing, so the part's *proven* bounds are the
 /// trivial `[0, 1]` and `exact` is `false`; the statistical quality lives in
@@ -247,28 +246,41 @@ pub fn sample_part_result(
     g: &UncertainGraph,
     terminals: &[VertexId],
     cfg: SamplingConfig,
-) -> Result<netrel_s2bdd::S2BddResult, GraphError> {
+) -> Result<S2BddResult, GraphError> {
     let r = sample_reliability(g, terminals, cfg)?;
-    Ok(netrel_s2bdd::S2BddResult {
+    Ok(sampled_part_result(r, cfg.samples, g.num_edges()))
+}
+
+/// The one shape of a sampled part's [`S2BddResult`], shared by the flat,
+/// hop-bounded and packed samplers: the sampled estimate and variance, the
+/// trivial `[0, 1]` proven bounds, `exact = false`, one stratum, and
+/// `requested` as both the requested and the final sample count. `edges`
+/// is the part's edge count, reported as `layers_total`.
+pub(crate) fn sampled_part_result(
+    r: SamplingResult,
+    requested: usize,
+    edges: usize,
+) -> S2BddResult {
+    S2BddResult {
         estimate: r.estimate,
         lower_bound: 0.0,
         upper_bound: 1.0,
         exact: false,
-        samples_requested: cfg.samples,
+        samples_requested: requested,
         samples_used: r.samples,
-        s_prime_final: cfg.samples,
+        s_prime_final: requested,
         strata: 1,
         deleted_nodes: 0,
         variance_estimate: r.variance_estimate,
         peak_width: 0,
         peak_memory_bytes: 0,
         layers_completed: 0,
-        layers_total: g.num_edges(),
+        layers_total: edges,
         early_exit: false,
         node_cap_hit: false,
         nodes_created: 0,
         trajectory: None,
-    })
+    }
 }
 
 /// Horvitz–Thompson weight `q / π` with `π = 1 − (1 − q)^s`, computed stably.

@@ -1,34 +1,32 @@
-//! Pluggable reliability **semantics** over the decompose-then-combine
-//! pipeline.
+//! Reliability **semantics** over the decompose-then-combine pipeline.
 //!
 //! The paper's `Pro` pipeline (preprocess → per-part solve → combine) is
 //! semantics-agnostic in principle: preprocessing yields small canonical
 //! *parts*, each part computes some probability, and the part results
-//! compose into the query answer. This module makes that pluggable. A
-//! [`Semantics`] defines
+//! compose into the query answer. This module runs every [`SemanticsSpec`]
+//! through that one pipeline:
 //!
-//! 1. **planning** — how `(graph, terminals)` decomposes into a
-//!    [`SemanticsPlan`]: parts (each tagged with the [`PartComputation`] it
-//!    answers), part *groups*, and an additive offset;
-//! 2. **part solving** — how one part is computed, deterministically
-//!    ([`Semantics::solve_part`]) or by flat possible-world sampling
-//!    ([`Semantics::sample_part`]);
-//! 3. **combination** — how solved parts recombine into the final
-//!    [`ProResult`] ([`Semantics::combine`]): per group the classic product
-//!    composition `pb_g · Π R̂ᵢ` of
-//!    [`combine_part_results`], summed across
+//! 1. **planning** — [`SemanticsSpec::plan`] decomposes `(graph, terminals)`
+//!    into a [`SemanticsPlan`]: parts (each tagged with the
+//!    [`PartComputation`] it answers), part *groups*, and an additive offset;
+//! 2. **part solving** — each part is computed deterministically
+//!    ([`solve_semantics_part`]) or by flat possible-world sampling
+//!    ([`sample_semantics_part`]), dispatching on the part's computation
+//!    alone;
+//! 3. **combination** — [`combine_semantics_plan`] recombines the solved
+//!    parts into the final [`ProResult`]: per group the classic product
+//!    composition `pb_g · Π R̂ᵢ` of [`combine_part_results`], summed across
 //!    groups plus the offset.
 //!
-//! Five implementations ship ([`SemanticsSpec`] is the value-level handle):
-//! the seed [`KTerminal`] connectivity semantics (the default — the paper's
-//! query; two-terminal is the `k = 2` case), strict [`TwoTerminal`],
-//! [`AllTerminal`], distance-constrained [`DHop`], and the expected
-//! reachable-set size [`ReachSet`].
+//! Five semantics ship: k-terminal connectivity (the default — the paper's
+//! query; two-terminal is the `k = 2` case), strict two-terminal,
+//! all-terminal, distance-constrained d-hop, and the expected reachable-set
+//! size.
 //!
 //! **Bit-identity contract**: for connectivity semantics the plan is one
 //! group over all parts with offset 0, and [`combine_semantics_plan`]
 //! delegates that shape verbatim to `combine_part_results` — so routing a
-//! two-terminal (or any k-terminal) query through this trait boundary
+//! two-terminal (or any k-terminal) query through the plan/combine pipeline
 //! produces answers bit-identical to one-shot
 //! [`pro_reliability`](crate::pro_reliability). The contract is pinned by
 //! `tests/semantics_contract.rs` and the engine's planner contract suite.
@@ -58,8 +56,8 @@ use netrel_ugraph::{GraphError, UncertainGraph, VertexId};
 
 /// Value-level identifier of a reliability semantics: which question a
 /// query asks of the uncertain graph. `Copy + Eq + Hash` so it can ride in
-/// queries and cache keys; [`SemanticsSpec::semantics`] resolves it to the
-/// trait object that implements it.
+/// queries and cache keys; [`SemanticsSpec::plan`] decomposes a query under
+/// it and [`SemanticsSpec::value_upper`] bounds its answers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SemanticsSpec {
     /// Strict two-terminal s–t reliability: exactly two distinct terminals
@@ -99,14 +97,77 @@ impl SemanticsSpec {
         }
     }
 
-    /// Resolve to the [`Semantics`] implementation.
-    pub fn semantics(self) -> Box<dyn Semantics> {
+    /// Decompose `(g, terminals)` into a [`SemanticsPlan`]. `index` is the
+    /// terminal-independent [`GraphIndex`] of `g`; `cfg` carries the
+    /// preprocessing toggles, which apply per semantics:
+    ///
+    /// * **k-terminal** — the classic `Pro` preprocessing: prune → bridge
+    ///   decomposition → series/parallel transform, one group over all
+    ///   parts.
+    /// * **two-terminal** — k-terminal's plan after validating that exactly
+    ///   two distinct terminals were given.
+    /// * **all-terminal** — k-terminal with `T = V`; the query's terminal
+    ///   list is ignored. Every bridge is mandatory and every 2ECC keeps all
+    ///   its vertices as terminals, so the classic pipeline applies
+    ///   unchanged.
+    /// * **d-hop** — one hop-bounded part over the distance-pruned subgraph
+    ///   (hop counts do not factor across bridges).
+    /// * **reach-set** — one two-terminal group per target plus offset 1,
+    ///   with parts shared between targets deduplicated.
+    pub fn plan(
+        self,
+        g: &UncertainGraph,
+        index: &GraphIndex,
+        terminals: &[VertexId],
+        cfg: PreprocessConfig,
+    ) -> Result<SemanticsPlan, GraphError> {
         match self {
-            SemanticsSpec::TwoTerminal => Box::new(TwoTerminal),
-            SemanticsSpec::KTerminal => Box::new(KTerminal),
-            SemanticsSpec::AllTerminal => Box::new(AllTerminal),
-            SemanticsSpec::DHop { d } => Box::new(DHop { d }),
-            SemanticsSpec::ReachSet => Box::new(ReachSet),
+            SemanticsSpec::KTerminal => {
+                let _span = netrel_obs::trace::span("plan.k-terminal");
+                let pre = preprocess_with_index(g, index, terminals, cfg)?;
+                Ok(SemanticsPlan::from_preprocessed(self, pre))
+            }
+            SemanticsSpec::TwoTerminal => {
+                let _span = netrel_obs::trace::span("plan.two-terminal");
+                let t = g.validate_terminals(terminals)?;
+                if t.len() != 2 {
+                    return Err(GraphError::InvalidTerminals {
+                        reason: format!(
+                            "two-terminal semantics needs exactly two distinct terminals, got {}",
+                            t.len()
+                        ),
+                    });
+                }
+                let pre = preprocess_with_index(g, index, &t, cfg)?;
+                Ok(SemanticsPlan::from_preprocessed(self, pre))
+            }
+            SemanticsSpec::AllTerminal => {
+                let _span = netrel_obs::trace::span("plan.all-terminal");
+                if g.num_vertices() == 0 {
+                    return Err(GraphError::InvalidTerminals {
+                        reason: "all-terminal semantics on an empty graph".into(),
+                    });
+                }
+                let all: Vec<VertexId> = (0..g.num_vertices()).collect();
+                let pre = preprocess_with_index(g, index, &all, cfg)?;
+                Ok(SemanticsPlan::from_preprocessed(self, pre))
+            }
+            SemanticsSpec::DHop { d } => plan_dhop(g, terminals, d, cfg),
+            SemanticsSpec::ReachSet => plan_reach_set(g, index, terminals, cfg),
+        }
+    }
+
+    /// Upper end of the value range this semantics answers: 1 for
+    /// probabilities, `|V|` for expected reachable-set size. Consumers
+    /// clamping confidence intervals must use this instead of a hard-coded
+    /// 1.
+    pub fn value_upper(self, g: &UncertainGraph) -> f64 {
+        match self {
+            SemanticsSpec::ReachSet => g.num_vertices() as f64,
+            SemanticsSpec::TwoTerminal
+            | SemanticsSpec::KTerminal
+            | SemanticsSpec::AllTerminal
+            | SemanticsSpec::DHop { .. } => 1.0,
         }
     }
 }
@@ -182,7 +243,7 @@ pub struct PartGroup {
     pub parts: Vec<usize>,
 }
 
-/// The decomposition a [`Semantics`] produced for one query:
+/// The decomposition [`SemanticsSpec::plan`] produced for one query:
 /// `answer = offset + Σ_g pb_g · Π_{i ∈ g} R̂ᵢ` over the (deduplicated)
 /// `parts`. Connectivity semantics produce a single group over all parts
 /// with offset 0 — exactly the classic `Pro` shape.
@@ -251,356 +312,182 @@ impl SemanticsPlan {
     }
 }
 
-/// A reliability semantics: what a query asks, how it decomposes into
-/// parts, how a part is computed, and how part results recombine. The
-/// default method bodies implement the shared skeleton (part dispatch on
-/// [`PartComputation`], grouped-product combine); implementations override
-/// [`Semantics::plan`] — and, where the value range differs,
-/// [`Semantics::value_upper`].
-pub trait Semantics: Send + Sync {
-    /// The value-level identifier of this semantics.
-    fn spec(&self) -> SemanticsSpec;
-
-    /// Decompose `(g, terminals)` into a [`SemanticsPlan`]. `index` is the
-    /// terminal-independent [`GraphIndex`] of `g`; `cfg` carries the
-    /// preprocessing toggles (ablations apply per semantics as documented
-    /// on each implementation).
-    fn plan(
-        &self,
-        g: &UncertainGraph,
-        index: &GraphIndex,
-        terminals: &[VertexId],
-        cfg: PreprocessConfig,
-    ) -> Result<SemanticsPlan, GraphError>;
-
-    /// Solve one part deterministically: S2BDD for connectivity parts;
-    /// exact hop-bounded enumeration for d-hop parts small enough
-    /// ([`DHOP_EXACT_EDGE_LIMIT`]), falling back to hop-bounded sampling
-    /// with `cfg`'s sample budget beyond that.
-    fn solve_part(&self, part: &SemPart, cfg: S2BddConfig) -> Result<S2BddResult, GraphError> {
-        solve_semantics_part(part, cfg)
+/// The d-hop plan. Hop counts do not factor across bridges (a bridge
+/// spends a hop), so the bridge decomposition and series/parallel
+/// transforms are *not* applicable. The plan is a single d-hop part over
+/// the distance-pruned subgraph: vertex `v` survives iff
+/// `dist(s, v) + dist(v, t) ≤ d` in the certain graph (a vertex off
+/// every short-enough path cannot influence the indicator). `cfg.prune`
+/// toggles the pruning for ablation; the trivially-zero check
+/// (`dist(s, t) > d` even with all edges present) always runs.
+fn plan_dhop(
+    g: &UncertainGraph,
+    terminals: &[VertexId],
+    d: u32,
+    cfg: PreprocessConfig,
+) -> Result<SemanticsPlan, GraphError> {
+    let _span = netrel_obs::trace::span("plan.d-hop");
+    let t = g.validate_terminals(terminals)?;
+    if t.len() != 2 {
+        return Err(GraphError::InvalidTerminals {
+            reason: format!(
+                "d-hop semantics needs exactly two distinct terminals, got {}",
+                t.len()
+            ),
+        });
     }
-
-    /// Estimate one part by flat possible-world sampling (the planner's
-    /// wide-part route): connectivity parts via
-    /// [`sample_part_result`], d-hop parts via the hop-bounded sampler.
-    fn sample_part(&self, part: &SemPart, cfg: SamplingConfig) -> Result<S2BddResult, GraphError> {
-        sample_semantics_part(part, cfg)
-    }
-
-    /// Recombine solved parts (in [`SemanticsPlan::parts`] order) into the
-    /// final answer.
-    fn combine(&self, plan: &SemanticsPlan, solved: Vec<S2BddResult>) -> ProResult {
-        combine_semantics_plan(plan, solved)
-    }
-
-    /// Upper end of the value range this semantics answers: 1 for
-    /// probabilities, `|V|` for expected reachable-set size. Consumers
-    /// clamping confidence intervals must use this instead of a hard-coded
-    /// 1.
-    fn value_upper(&self, _g: &UncertainGraph) -> f64 {
-        1.0
-    }
-}
-
-/// Strict two-terminal s–t reliability (see
-/// [`SemanticsSpec::TwoTerminal`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TwoTerminal;
-
-/// k-terminal reliability — the seed semantics (see
-/// [`SemanticsSpec::KTerminal`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KTerminal;
-
-/// All-terminal reliability (see [`SemanticsSpec::AllTerminal`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AllTerminal;
-
-/// Distance-constrained (d-hop) two-terminal reliability (see
-/// [`SemanticsSpec::DHop`]).
-#[derive(Clone, Copy, Debug)]
-pub struct DHop {
-    /// Maximum path length in hops.
-    pub d: u32,
-}
-
-/// Expected reachable-set size (see [`SemanticsSpec::ReachSet`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReachSet;
-
-impl Semantics for KTerminal {
-    fn spec(&self) -> SemanticsSpec {
-        SemanticsSpec::KTerminal
-    }
-
-    /// The classic `Pro` preprocessing: prune → bridge decomposition →
-    /// series/parallel transform, one group over all parts.
-    fn plan(
-        &self,
-        g: &UncertainGraph,
-        index: &GraphIndex,
-        terminals: &[VertexId],
-        cfg: PreprocessConfig,
-    ) -> Result<SemanticsPlan, GraphError> {
-        let _span = netrel_obs::trace::span("plan.k-terminal");
-        let pre = preprocess_with_index(g, index, terminals, cfg)?;
-        Ok(SemanticsPlan::from_preprocessed(self.spec(), pre))
-    }
-}
-
-impl Semantics for TwoTerminal {
-    fn spec(&self) -> SemanticsSpec {
-        SemanticsSpec::TwoTerminal
-    }
-
-    /// [`KTerminal`]'s plan after validating that exactly two distinct
-    /// terminals were given.
-    fn plan(
-        &self,
-        g: &UncertainGraph,
-        index: &GraphIndex,
-        terminals: &[VertexId],
-        cfg: PreprocessConfig,
-    ) -> Result<SemanticsPlan, GraphError> {
-        let _span = netrel_obs::trace::span("plan.two-terminal");
-        let t = g.validate_terminals(terminals)?;
-        if t.len() != 2 {
-            return Err(GraphError::InvalidTerminals {
-                reason: format!(
-                    "two-terminal semantics needs exactly two distinct terminals, got {}",
-                    t.len()
-                ),
-            });
-        }
-        let pre = preprocess_with_index(g, index, &t, cfg)?;
-        Ok(SemanticsPlan::from_preprocessed(self.spec(), pre))
-    }
-}
-
-impl Semantics for AllTerminal {
-    fn spec(&self) -> SemanticsSpec {
-        SemanticsSpec::AllTerminal
-    }
-
-    /// k-terminal with `T = V`; the query's terminal list is ignored. Every
-    /// bridge is mandatory and every 2ECC keeps all its vertices as
-    /// terminals, so the classic pipeline applies unchanged.
-    fn plan(
-        &self,
-        g: &UncertainGraph,
-        index: &GraphIndex,
-        _terminals: &[VertexId],
-        cfg: PreprocessConfig,
-    ) -> Result<SemanticsPlan, GraphError> {
-        let _span = netrel_obs::trace::span("plan.all-terminal");
-        if g.num_vertices() == 0 {
-            return Err(GraphError::InvalidTerminals {
-                reason: "all-terminal semantics on an empty graph".into(),
-            });
-        }
-        let all: Vec<VertexId> = (0..g.num_vertices()).collect();
-        let pre = preprocess_with_index(g, index, &all, cfg)?;
-        Ok(SemanticsPlan::from_preprocessed(self.spec(), pre))
-    }
-}
-
-impl Semantics for DHop {
-    fn spec(&self) -> SemanticsSpec {
-        SemanticsSpec::DHop { d: self.d }
-    }
-
-    /// Hop counts do not factor across bridges (a bridge spends a hop), so
-    /// the bridge decomposition and series/parallel transforms are *not*
-    /// applicable. The plan is a single d-hop part over the
-    /// distance-pruned subgraph: vertex `v` survives iff
-    /// `dist(s, v) + dist(v, t) ≤ d` in the certain graph (a vertex off
-    /// every short-enough path cannot influence the indicator). `cfg.prune`
-    /// toggles the pruning for ablation; the trivially-zero check
-    /// (`dist(s, t) > d` even with all edges present) always runs.
-    fn plan(
-        &self,
-        g: &UncertainGraph,
-        _index: &GraphIndex,
-        terminals: &[VertexId],
-        cfg: PreprocessConfig,
-    ) -> Result<SemanticsPlan, GraphError> {
-        let _span = netrel_obs::trace::span("plan.d-hop");
-        let t = g.validate_terminals(terminals)?;
-        if t.len() != 2 {
-            return Err(GraphError::InvalidTerminals {
-                reason: format!(
-                    "d-hop semantics needs exactly two distinct terminals, got {}",
-                    t.len()
-                ),
-            });
-        }
-        let (s, target) = (t[0], t[1]);
-        let original_edges = g.num_edges();
-        let ds = bfs_distances(g, s);
-        if ds[target] > self.d {
-            let stats = PreprocessStats {
-                original_edges,
-                pruned_edges: 0,
-                num_parts: 0,
-                max_part_edges: 0,
-                reduced_ratio: 0.0,
-                transform_rules: 0,
-            };
-            return Ok(SemanticsPlan::zero(self.spec(), stats));
-        }
-        let part = if cfg.prune {
-            let dt = bfs_distances(g, target);
-            let keep: Vec<bool> = (0..g.num_vertices())
-                .map(|v| ds[v].saturating_add(dt[v]) <= self.d)
-                .collect();
-            let (sub, map) = g.induced_subgraph(&keep);
-            let terminals = vec![
-                map[s].expect("s survives its own distance filter"),
-                map[target].expect("t survives its own distance filter"),
-            ];
-            SemPart {
-                graph: sub,
-                terminals,
-                computation: PartComputation::DHop { d: self.d },
-            }
-        } else {
-            SemPart {
-                graph: g.clone(),
-                terminals: vec![s, target],
-                computation: PartComputation::DHop { d: self.d },
-            }
-        };
-        let part_edges = part.graph.num_edges();
+    let (s, target) = (t[0], t[1]);
+    let original_edges = g.num_edges();
+    let ds = bfs_distances(g, s);
+    if ds[target] > d {
         let stats = PreprocessStats {
             original_edges,
-            pruned_edges: part_edges,
-            num_parts: 1,
-            max_part_edges: part_edges,
-            reduced_ratio: if original_edges > 0 {
-                part_edges as f64 / original_edges as f64
-            } else {
-                0.0
-            },
+            pruned_edges: 0,
+            num_parts: 0,
+            max_part_edges: 0,
+            reduced_ratio: 0.0,
             transform_rules: 0,
         };
-        Ok(SemanticsPlan {
-            spec: self.spec(),
-            offset: 0.0,
-            trivially_zero: false,
-            groups: vec![PartGroup {
-                pb: 1.0,
-                parts: vec![0],
-            }],
-            parts: vec![part],
-            stats,
-        })
+        return Ok(SemanticsPlan::zero(SemanticsSpec::DHop { d }, stats));
     }
-}
-
-impl Semantics for ReachSet {
-    fn spec(&self) -> SemanticsSpec {
-        SemanticsSpec::ReachSet
-    }
-
-    /// Linearity of expectation: `E[|R(s)|] = 1 + Σ_{v ≠ s} R[{s, v}]`, so
-    /// the plan is one classic two-terminal group per target `v` (each the
-    /// full prune/decompose/transform pipeline), with offset 1 for the
-    /// source itself. Targets provably unreachable contribute no group;
-    /// parts shared between targets (common on bridge-heavy graphs, where
-    /// many targets reduce to the same 2ECC subproblems) are deduplicated,
-    /// so each distinct subproblem is solved once.
-    fn plan(
-        &self,
-        g: &UncertainGraph,
-        index: &GraphIndex,
-        terminals: &[VertexId],
-        cfg: PreprocessConfig,
-    ) -> Result<SemanticsPlan, GraphError> {
-        let _span = netrel_obs::trace::span("plan.reach-set");
-        let t = g.validate_terminals(terminals)?;
-        if t.len() != 1 {
-            return Err(GraphError::InvalidTerminals {
-                reason: format!(
-                    "reach-set semantics takes exactly one source terminal, got {}",
-                    t.len()
-                ),
-            });
+    let part = if cfg.prune {
+        let dt = bfs_distances(g, target);
+        let keep: Vec<bool> = (0..g.num_vertices())
+            .map(|v| ds[v].saturating_add(dt[v]) <= d)
+            .collect();
+        let (sub, map) = g.induced_subgraph(&keep);
+        let terminals = vec![
+            map[s].expect("s survives its own distance filter"),
+            map[target].expect("t survives its own distance filter"),
+        ];
+        SemPart {
+            graph: sub,
+            terminals,
+            computation: PartComputation::DHop { d },
         }
-        let s = t[0];
-        let mut plan = SemanticsPlan {
-            spec: self.spec(),
-            offset: 1.0,
-            trivially_zero: false,
-            groups: Vec::new(),
-            parts: Vec::new(),
-            stats: PreprocessStats {
-                original_edges: g.num_edges(),
-                ..Default::default()
-            },
-        };
-        // Structural fingerprint → index into `plan.parts` (same identity a
-        // part-level plan cache uses: edge list with probability bits, plus
-        // the terminal set — all parts here are connectivity parts).
-        type Fingerprint = (Vec<(u32, u32, u64)>, Vec<u32>);
-        let mut seen: std::collections::HashMap<Fingerprint, usize> =
-            std::collections::HashMap::new();
-        for v in 0..g.num_vertices() {
-            if v == s {
-                continue;
-            }
-            let pre = preprocess_with_index(g, index, &[s, v], cfg)?;
-            plan.stats.pruned_edges = plan.stats.pruned_edges.max(pre.stats.pruned_edges);
-            plan.stats.transform_rules += pre.stats.transform_rules;
-            if pre.trivially_zero {
-                continue;
-            }
-            let mut group = PartGroup {
-                pb: pre.pb,
-                parts: Vec::with_capacity(pre.parts.len()),
-            };
-            for part in pre.parts {
-                let fp: Fingerprint = (
-                    part.graph
-                        .edges()
-                        .iter()
-                        .map(|e| (e.u as u32, e.v as u32, e.p.to_bits()))
-                        .collect(),
-                    part.terminals.iter().map(|&t| t as u32).collect(),
-                );
-                let idx = *seen.entry(fp).or_insert_with(|| {
-                    plan.parts
-                        .push(SemPart::connectivity(part.graph, part.terminals));
-                    plan.parts.len() - 1
-                });
-                group.parts.push(idx);
-            }
-            plan.groups.push(group);
+    } else {
+        SemPart {
+            graph: g.clone(),
+            terminals: vec![s, target],
+            computation: PartComputation::DHop { d },
         }
-        plan.stats.num_parts = plan.parts.len();
-        plan.stats.max_part_edges = plan
-            .parts
-            .iter()
-            .map(|p| p.graph.num_edges())
-            .max()
-            .unwrap_or(0);
-        plan.stats.reduced_ratio = if plan.stats.original_edges > 0 {
-            plan.stats.max_part_edges as f64 / plan.stats.original_edges as f64
+    };
+    let part_edges = part.graph.num_edges();
+    let stats = PreprocessStats {
+        original_edges,
+        pruned_edges: part_edges,
+        num_parts: 1,
+        max_part_edges: part_edges,
+        reduced_ratio: if original_edges > 0 {
+            part_edges as f64 / original_edges as f64
         } else {
             0.0
-        };
-        Ok(plan)
-    }
-
-    /// Reach-set answers live in `[1, |V|]`, not `[0, 1]`.
-    fn value_upper(&self, g: &UncertainGraph) -> f64 {
-        g.num_vertices() as f64
-    }
+        },
+        transform_rules: 0,
+    };
+    Ok(SemanticsPlan {
+        spec: SemanticsSpec::DHop { d },
+        offset: 0.0,
+        trivially_zero: false,
+        groups: vec![PartGroup {
+            pb: 1.0,
+            parts: vec![0],
+        }],
+        parts: vec![part],
+        stats,
+    })
 }
 
-/// Deterministic solver for one part (the implementation behind
-/// [`Semantics::solve_part`]): the configured S2BDD for connectivity
-/// parts; for d-hop parts, exact recursive-conditioning enumeration when
+/// The reach-set plan, by linearity of expectation:
+/// `E[|R(s)|] = 1 + Σ_{v ≠ s} R[{s, v}]`, so the plan is one classic
+/// two-terminal group per target `v` (each the full
+/// prune/decompose/transform pipeline), with offset 1 for the source
+/// itself. Targets provably unreachable contribute no group;
+/// parts shared between targets (common on bridge-heavy graphs, where
+/// many targets reduce to the same 2ECC subproblems) are deduplicated,
+/// so each distinct subproblem is solved once.
+fn plan_reach_set(
+    g: &UncertainGraph,
+    index: &GraphIndex,
+    terminals: &[VertexId],
+    cfg: PreprocessConfig,
+) -> Result<SemanticsPlan, GraphError> {
+    let _span = netrel_obs::trace::span("plan.reach-set");
+    let t = g.validate_terminals(terminals)?;
+    if t.len() != 1 {
+        return Err(GraphError::InvalidTerminals {
+            reason: format!(
+                "reach-set semantics takes exactly one source terminal, got {}",
+                t.len()
+            ),
+        });
+    }
+    let s = t[0];
+    let mut plan = SemanticsPlan {
+        spec: SemanticsSpec::ReachSet,
+        offset: 1.0,
+        trivially_zero: false,
+        groups: Vec::new(),
+        parts: Vec::new(),
+        stats: PreprocessStats {
+            original_edges: g.num_edges(),
+            ..Default::default()
+        },
+    };
+    // Structural fingerprint → index into `plan.parts` (same identity a
+    // part-level plan cache uses: edge list with probability bits, plus
+    // the terminal set — all parts here are connectivity parts).
+    type Fingerprint = (Vec<(u32, u32, u64)>, Vec<u32>);
+    let mut seen: std::collections::HashMap<Fingerprint, usize> = std::collections::HashMap::new();
+    for v in 0..g.num_vertices() {
+        if v == s {
+            continue;
+        }
+        let pre = preprocess_with_index(g, index, &[s, v], cfg)?;
+        plan.stats.pruned_edges = plan.stats.pruned_edges.max(pre.stats.pruned_edges);
+        plan.stats.transform_rules += pre.stats.transform_rules;
+        if pre.trivially_zero {
+            continue;
+        }
+        let mut group = PartGroup {
+            pb: pre.pb,
+            parts: Vec::with_capacity(pre.parts.len()),
+        };
+        for part in pre.parts {
+            let fp: Fingerprint = (
+                part.graph
+                    .edges()
+                    .iter()
+                    .map(|e| (e.u as u32, e.v as u32, e.p.to_bits()))
+                    .collect(),
+                part.terminals.iter().map(|&t| t as u32).collect(),
+            );
+            let idx = *seen.entry(fp).or_insert_with(|| {
+                plan.parts
+                    .push(SemPart::connectivity(part.graph, part.terminals));
+                plan.parts.len() - 1
+            });
+            group.parts.push(idx);
+        }
+        plan.groups.push(group);
+    }
+    plan.stats.num_parts = plan.parts.len();
+    plan.stats.max_part_edges = plan
+        .parts
+        .iter()
+        .map(|p| p.graph.num_edges())
+        .max()
+        .unwrap_or(0);
+    plan.stats.reduced_ratio = if plan.stats.original_edges > 0 {
+        plan.stats.max_part_edges as f64 / plan.stats.original_edges as f64
+    } else {
+        0.0
+    };
+    Ok(plan)
+}
+
+/// Deterministic solver for one part: the configured S2BDD for
+/// connectivity parts; for d-hop parts, exact recursive-conditioning enumeration when
 /// the part has at most [`DHOP_EXACT_EDGE_LIMIT`] edges, otherwise
 /// hop-bounded sampling funded by `cfg.samples` under `cfg.seed`.
 pub fn solve_semantics_part(part: &SemPart, cfg: S2BddConfig) -> Result<S2BddResult, GraphError> {
@@ -638,9 +525,8 @@ pub fn exact_semantics_part(part: &SemPart) -> Result<S2BddResult, GraphError> {
     }
 }
 
-/// Flat-sampling solver for one part (the implementation behind
-/// [`Semantics::sample_part`]): [`sample_part_result`] for connectivity
-/// parts, the hop-bounded world sampler for d-hop parts. Either way the
+/// Flat-sampling solver for one part (the planner's wide-part route):
+/// [`sample_part_result`] for connectivity parts, the hop-bounded world sampler for d-hop parts. Either way the
 /// outcome is shaped as an [`S2BddResult`] with the trivial `[0, 1]` proven
 /// bounds, so it composes through [`combine_part_results`].
 pub fn sample_semantics_part(
@@ -660,8 +546,8 @@ fn is_identity(parts: &[usize], n: usize) -> bool {
     parts.len() == n && parts.iter().enumerate().all(|(i, &p)| i == p)
 }
 
-/// Recombine solved parts into the final answer (the implementation behind
-/// [`Semantics::combine`]): `offset + Σ_g pb_g · Π_{i ∈ g} R̂ᵢ`.
+/// Recombine solved parts (in [`SemanticsPlan::parts`] order) into the
+/// final answer: `offset + Σ_g pb_g · Π_{i ∈ g} R̂ᵢ`.
 ///
 /// * **Fast path** — a single identity group with offset 0 (every
 ///   connectivity semantics) delegates to [`combine_part_results`]
@@ -737,6 +623,11 @@ pub fn semantics_reliability(
 /// [`semantics_reliability`] against a precomputed terminal-independent
 /// [`GraphIndex`] of `g`. Behavior and draws are identical; the index only
 /// removes per-call recomputation of terminal-independent structure.
+///
+/// Plan, solve each part in part order with [`solve_semantics_part`], and
+/// combine. Part seeds derive from the part index ([`part_s2bdd_config`]),
+/// so the engine, which schedules the same parts across a whole batch,
+/// reproduces these draws exactly.
 pub fn semantics_reliability_with_index(
     g: &UncertainGraph,
     index: &GraphIndex,
@@ -744,44 +635,14 @@ pub fn semantics_reliability_with_index(
     terminals: &[VertexId],
     cfg: ProConfig,
 ) -> Result<ProResult, GraphError> {
-    let sem = spec.semantics();
-    let plan = sem.plan(g, index, terminals, cfg.preprocess)?;
-    let solved = solve_plan_parts(sem.as_ref(), &plan, &cfg)?;
-    Ok(sem.combine(&plan, solved))
-}
-
-/// Solve every part of a plan, sequentially or on scoped worker threads
-/// (`cfg.parallel_parts`). Seeds derive from the part index
-/// ([`part_s2bdd_config`]), so both paths produce bit-identical results.
-pub fn solve_plan_parts(
-    sem: &dyn Semantics,
-    plan: &SemanticsPlan,
-    cfg: &ProConfig,
-) -> Result<Vec<S2BddResult>, GraphError> {
-    if cfg.parallel_parts && plan.parts.len() > 1 {
-        let results: Vec<Result<S2BddResult, GraphError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(i, part)| {
-                    let sem = &sem;
-                    scope.spawn(move || sem.solve_part(part, part_s2bdd_config(cfg.s2bdd, i)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("part solver panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<Vec<_>, _>>()
-    } else {
-        plan.parts
-            .iter()
-            .enumerate()
-            .map(|(i, part)| sem.solve_part(part, part_s2bdd_config(cfg.s2bdd, i)))
-            .collect()
-    }
+    let plan = spec.plan(g, index, terminals, cfg.preprocess)?;
+    let solved = plan
+        .parts
+        .iter()
+        .enumerate()
+        .map(|(i, part)| solve_semantics_part(part, part_s2bdd_config(cfg.s2bdd, i)))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(combine_semantics_plan(&plan, solved))
 }
 
 #[cfg(test)]
@@ -880,8 +741,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let sem = DHop { d: 2 };
-        let plan = sem
+        let plan = SemanticsSpec::DHop { d: 2 }
             .plan(
                 &g,
                 &GraphIndex::build(&g),
@@ -921,8 +781,7 @@ mod tests {
         // per-target query collapses to bridges, so no parts remain at all,
         // and the groups are pure pb factors.
         let g = UncertainGraph::new(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)]).unwrap();
-        let sem = ReachSet;
-        let plan = sem
+        let plan = SemanticsSpec::ReachSet
             .plan(
                 &g,
                 &GraphIndex::build(&g),

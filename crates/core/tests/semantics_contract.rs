@@ -1,11 +1,11 @@
-//! Contract suite for the pluggable reliability semantics: every
-//! [`Semantics`](netrel_core::Semantics) implementation must agree with the
-//! exhaustive possible-world oracle, and the k-terminal path must stay
-//! bit-identical to the historical one-shot `pro_reliability`.
+//! Contract suite for the reliability semantics: every [`SemanticsSpec`]
+//! must agree with the exhaustive possible-world oracle, and the k-terminal
+//! path must stay bit-identical to one-shot `pro_reliability`.
 
 use netrel_core::{
-    exact_semantics_value, oracle_value, pro_reliability, sample_semantics_part,
-    semantics_reliability, PartComputation, ProConfig, SamplingConfig, SemPart, SemanticsSpec,
+    combine_semantics_plan, exact_semantics_value, oracle_value, pro_reliability,
+    sample_semantics_part, semantics_reliability, PartComputation, ProConfig, SamplingConfig,
+    SemPart, SemanticsSpec,
 };
 use netrel_preprocess::GraphIndex;
 use netrel_s2bdd::{EstimatorKind, S2BddConfig};
@@ -127,9 +127,8 @@ fn sampling_route_converges_to_oracle_per_part() {
         for (spec, t) in specs_for(&g) {
             let truth = oracle_value(&g, spec, &t).unwrap();
             for estimator in [EstimatorKind::MonteCarlo, EstimatorKind::HorvitzThompson] {
-                let sem = spec.semantics();
                 let index = GraphIndex::build(&g);
-                let plan = sem.plan(&g, &index, &t, Default::default()).unwrap();
+                let plan = spec.plan(&g, &index, &t, Default::default()).unwrap();
                 let solved = plan
                     .parts
                     .iter()
@@ -147,8 +146,8 @@ fn sampling_route_converges_to_oracle_per_part() {
                         .unwrap()
                     })
                     .collect();
-                let r = sem.combine(&plan, solved);
-                let tol = 0.02 * sem.value_upper(&g).max(1.0);
+                let r = combine_semantics_plan(&plan, solved);
+                let tol = 0.02 * spec.value_upper(&g).max(1.0);
                 assert!(
                     (r.estimate - truth).abs() < tol,
                     "{spec:?} {t:?} {estimator:?}: {} vs oracle {truth}",

@@ -152,8 +152,7 @@ pub struct PlannedQuery {
     /// Solver configuration. Under [`Policy::Budgeted`] the width/samples
     /// knobs of `config.s2bdd` are advisory only — the planner overrides
     /// them per part; the estimator, edge order, merge rule, and seed are
-    /// honored. `config.parallel_parts` is ignored: the engine schedules
-    /// parts across the whole batch itself.
+    /// honored.
     pub config: ProConfig,
     /// How parts are routed.
     pub policy: Policy,
@@ -611,10 +610,9 @@ impl Engine {
                 if q.trace {
                     obs_trace::install(TraceBuilder::new());
                 }
-                let plan_result =
-                    q.semantics
-                        .semantics()
-                        .plan(graph, index, &q.terminals, q.config.preprocess);
+                let plan_result = q
+                    .semantics
+                    .plan(graph, index, &q.terminals, q.config.preprocess);
                 let mut tb = if q.trace { obs_trace::take() } else { None };
                 let plan = plan_result?; // a failed plan drops its trace
                 if let (Some(m), Some(t0)) = (metrics, t0) {
@@ -921,7 +919,7 @@ impl Engine {
                 if let (Some(m), Some(t0)) = (metrics, t0) {
                     m.combine_seconds.observe_duration(t0.elapsed());
                 }
-                let value_cap = q.semantics.semantics().value_upper(graph);
+                let value_cap = q.semantics.value_upper(graph);
                 Ok(ReliabilityAnswer {
                     semantics: q.semantics,
                     estimate: pro.estimate,

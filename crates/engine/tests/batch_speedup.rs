@@ -108,8 +108,8 @@ fn hundred_query_batch_beats_oneshot_and_agrees() {
         "expected cache hits on repeated terminal pairs: {stats:?}"
     );
 
-    // Loose wall-clock bar (the criterion bench measures the real margin;
-    // observed locally: well above 5x).
+    // Loose wall-clock bar (`netrel-testrunner --suite=engine` measures the
+    // real margin; observed locally: well above 5x).
     let speedup = oneshot_secs / engine_secs.max(1e-9);
     assert!(
         speedup >= 1.5,

@@ -7,10 +7,11 @@
 //! 2-edge-connected-component extension technique, the Monte Carlo /
 //! Horvitz–Thompson baselines, an exact solver, datasets, and the full
 //! benchmark harness that regenerates every table and figure of the paper.
-//! Beyond the paper, a pluggable [`solvers::Semantics`] trait answers five
-//! reliability questions (k-terminal, two-terminal, all-terminal, d-hop,
-//! expected reachable-set size) through the same decompose/solve/combine
-//! pipeline and the same multi-query engine.
+//! Beyond the paper, [`solvers::SemanticsSpec`] names five reliability
+//! questions (k-terminal, two-terminal, all-terminal, d-hop, expected
+//! reachable-set size), each planned by [`solvers::SemanticsSpec::plan`]
+//! and answered through the same decompose/solve/combine pipeline and the
+//! same multi-query engine.
 //!
 //! Quick start:
 //!
@@ -32,7 +33,7 @@
 //! | [`bdd`] | brute force, frontier machine, materialized BDD baseline |
 //! | [`s2bdd`] | the paper's S2BDD solver |
 //! | [`preprocessing`] | prune / decompose / transform |
-//! | [`solvers`] | `Sampling(MC/HT)`, `Pro`, exact, the `Semantics` trait + oracle |
+//! | [`solvers`] | `Sampling(MC/HT)`, `Pro`, exact, the five semantics (`SemanticsSpec`) + oracle |
 //! | [`engine`] | batched multi-query engine: shared preprocessing, semantics-generic adaptive planner, plan cache, JSON service |
 
 #![forbid(unsafe_code)]

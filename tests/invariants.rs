@@ -70,7 +70,6 @@ proptest! {
             ProConfig {
                 s2bdd: S2BddConfig::exact(),
                 preprocess: PreprocessConfig::disabled(),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -108,36 +107,6 @@ proptest! {
         prop_assert!(sp <= s);
         prop_assert!(reduced_samples(s, pc.min(1.0), 0.0) <= reduced_samples(s, pc / 2.0, 0.0) + 1);
         prop_assert!(reduced_samples(s, 0.0, pd) <= reduced_samples(s, 0.0, pd / 2.0) + 1);
-    }
-
-    /// `parallel_parts` only changes the schedule, never the draws: the
-    /// parallel and sequential paths must agree bit for bit, including on
-    /// width-bounded (sampling) configurations with many decomposed parts.
-    #[test]
-    fn parallel_parts_bit_identical_to_sequential(
-        g in small_graph(),
-        t0 in 0usize..8,
-        t1 in 0usize..8,
-        w in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let mut t = vec![t0, t1];
-        t.sort_unstable();
-        t.dedup();
-        prop_assume!(t.len() == 2);
-        let seq_cfg = ProConfig {
-            s2bdd: S2BddConfig { max_width: w, samples: 300, seed, ..Default::default() },
-            ..Default::default()
-        };
-        let par_cfg = ProConfig { parallel_parts: true, ..seq_cfg };
-        let a = pro_reliability(&g, &t, seq_cfg).unwrap();
-        let b = pro_reliability(&g, &t, par_cfg).unwrap();
-        prop_assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-        prop_assert_eq!(a.lower_bound.to_bits(), b.lower_bound.to_bits());
-        prop_assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
-        prop_assert_eq!(a.variance_estimate.to_bits(), b.variance_estimate.to_bits());
-        prop_assert_eq!(a.samples_used, b.samples_used);
-        prop_assert_eq!(a.exact, b.exact);
     }
 
     /// The batched engine is an optimization, not a different algorithm:
