@@ -29,15 +29,18 @@
 //! masks the surplus, keeping the draw sequence independent of the budget's
 //! remainder modulo 64.
 //!
-//! **Reuse.** Determinism also makes the expensive piece — drawing the
-//! edge presence masks — memoizable: the masks depend only on
-//! `(edges, samples, seed)`, never on terminals, source, or hop bound, so
-//! queries over the same graph share every world and a [`WorldBank`] can
-//! serve them with just the (cheap) propagation pass, byte-identical by
-//! construction.
+//! **Reuse.** Determinism also makes the edge presence masks memoizable:
+//! they depend only on `(edges, samples, seed)`, never on terminals,
+//! source, or hop bound, so queries over the same graph share every world
+//! and a [`WorldBank`] serves them without redrawing. Once the draws are
+//! shared, propagation is the whole cost of a query, so the bank also
+//! keeps, for dense parts, every world's connected-component label per
+//! vertex: a connectivity query then costs `blocks × bits × (k−1)` word
+//! operations instead of one BFS per block. Either way the hit lanes are
+//! the ones the BFS computes, byte-identical by construction.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::sampling::{run_streams, sampled_part_result, SamplingResult};
 use crate::semantics::{PartComputation, SemPart};
@@ -182,35 +185,156 @@ pub fn packed_world_masks(g: &UncertainGraph, rng: &mut impl RngCore) -> Vec<u64
         .collect()
 }
 
-/// Word-wide reachability fixpoint: bit `j` of `reached[v]` is 1 iff `v` is
-/// reachable from `source` in world `j` of `masks`. All 64 lanes start at
-/// `source`; one worklist pass propagates
-/// `reached[w] |= reached[v] & masks[e]` until no lane changes.
-pub fn packed_reach_from(csr: &CsrAdjacency, masks: &[u64], source: VertexId) -> Vec<u64> {
-    let n = csr.num_vertices();
-    let mut reached = vec![0u64; n];
-    let mut in_queue = vec![false; n];
-    let mut stack: Vec<u32> = Vec::with_capacity(n);
-    reached[source] = !0;
-    in_queue[source] = true;
-    stack.push(source as u32);
-    while let Some(v) = stack.pop() {
-        let v = v as usize;
-        in_queue[v] = false;
-        let rv = reached[v];
-        for &(w, e) in csr.neighbors(v) {
-            let w = w as usize;
-            let add = rv & masks[e as usize] & !reached[w];
-            if add != 0 {
-                reached[w] |= add;
-                if !in_queue[w] {
-                    in_queue[w] = true;
-                    stack.push(w as u32);
+/// Buffers of the FIFO worklist fixpoint, sized to one graph and reused
+/// across runs: [`Worklist::start`] resets only the vertices the previous
+/// run reached.
+struct Worklist {
+    reached: Vec<u64>,
+    in_queue: Vec<bool>,
+    queue: VecDeque<u32>,
+    /// Vertices with a nonzero `reached` word, in first-reach order.
+    touched: Vec<u32>,
+}
+
+impl Worklist {
+    fn new(n: usize) -> Self {
+        Worklist {
+            reached: vec![0; n],
+            in_queue: vec![false; n],
+            queue: VecDeque::with_capacity(n),
+            touched: Vec::with_capacity(n),
+        }
+    }
+
+    /// Clear the previous run and start `lanes` at `source`.
+    fn start(&mut self, source: VertexId, lanes: u64) {
+        for &w in &self.touched {
+            self.reached[w as usize] = 0;
+            self.in_queue[w as usize] = false;
+        }
+        self.touched.clear();
+        self.queue.clear();
+        self.reached[source] = lanes;
+        self.in_queue[source] = true;
+        self.queue.push_back(source as u32);
+        self.touched.push(source as u32);
+    }
+
+    /// Propagate `reached[w] |= reached[v] & masks[e]` first-in, first-out
+    /// until no lane changes, or until `done(reached)` holds after a pop.
+    /// FIFO order relaxes a vertex once most lanes have reached it: the
+    /// fixpoint is the same in any order, but a stack re-pops a vertex every
+    /// time a few more lanes arrive (DESIGN.md §12.5).
+    fn run(&mut self, csr: &CsrAdjacency, masks: &[u64], done: impl Fn(&[u64]) -> bool) {
+        while let Some(v) = self.queue.pop_front() {
+            let v = v as usize;
+            self.in_queue[v] = false;
+            let rv = self.reached[v];
+            for &(w, e) in csr.neighbors(v) {
+                let w = w as usize;
+                let add = rv & masks[e as usize] & !self.reached[w];
+                if add != 0 {
+                    if self.reached[w] == 0 {
+                        self.touched.push(w as u32);
+                    }
+                    self.reached[w] |= add;
+                    if !self.in_queue[w] {
+                        self.in_queue[w] = true;
+                        self.queue.push_back(w as u32);
+                    }
                 }
+            }
+            if done(&self.reached) {
+                return;
             }
         }
     }
-    reached
+}
+
+/// Buffers of the level-synchronous hop-bounded kernel, sized to one graph
+/// and reset per run.
+struct Levels {
+    reached: Vec<u64>,
+    cur: Vec<u64>,
+    nxt: Vec<u64>,
+    cur_list: Vec<u32>,
+    nxt_list: Vec<u32>,
+}
+
+impl Levels {
+    fn new(n: usize) -> Self {
+        Levels {
+            reached: vec![0; n],
+            cur: vec![0; n],
+            nxt: vec![0; n],
+            cur_list: Vec::new(),
+            nxt_list: Vec::new(),
+        }
+    }
+
+    /// Advance every lane's frontier from `source` by one hop per round for
+    /// `d` rounds, or until `done(reached)` holds — asked before the first
+    /// round and after each relaxed frontier vertex.
+    fn run(
+        &mut self,
+        csr: &CsrAdjacency,
+        masks: &[u64],
+        source: VertexId,
+        d: u32,
+        done: impl Fn(&[u64]) -> bool,
+    ) {
+        self.reached.fill(0);
+        self.cur.fill(0);
+        self.nxt.fill(0);
+        self.cur_list.clear();
+        self.nxt_list.clear();
+        self.reached[source] = !0;
+        self.cur[source] = !0;
+        self.cur_list.push(source as u32);
+        if done(&self.reached) {
+            return;
+        }
+        for _ in 0..d {
+            for &v in &self.cur_list {
+                let v = v as usize;
+                let fv = self.cur[v];
+                for &(w, e) in csr.neighbors(v) {
+                    let w = w as usize;
+                    let add = fv & masks[e as usize] & !self.reached[w];
+                    if add != 0 {
+                        if self.nxt[w] == 0 {
+                            self.nxt_list.push(w as u32);
+                        }
+                        self.nxt[w] |= add;
+                        self.reached[w] |= add;
+                    }
+                }
+                if done(&self.reached) {
+                    return;
+                }
+            }
+            for &v in &self.cur_list {
+                self.cur[v as usize] = 0;
+            }
+            std::mem::swap(&mut self.cur, &mut self.nxt);
+            std::mem::swap(&mut self.cur_list, &mut self.nxt_list);
+            self.nxt_list.clear();
+            if self.cur_list.is_empty() {
+                break;
+            }
+        }
+    }
+}
+
+/// Word-wide reachability fixpoint: bit `j` of `reached[v]` is 1 iff `v` is
+/// reachable from `source` in world `j` of `masks`. All 64 lanes start at
+/// `source`; one FIFO worklist pass propagates
+/// `reached[w] |= reached[v] & masks[e]` until no lane changes.
+pub fn packed_reach_from(csr: &CsrAdjacency, masks: &[u64], source: VertexId) -> Vec<u64> {
+    let mut list = Worklist::new(csr.num_vertices());
+    list.start(source, !0);
+    list.run(csr, masks, |_| false);
+    list.reached
 }
 
 /// Depth-bounded variant of [`packed_reach_from`]: bit `j` of `reached[v]`
@@ -224,41 +348,9 @@ pub fn packed_reach_within(
     source: VertexId,
     d: u32,
 ) -> Vec<u64> {
-    let n = csr.num_vertices();
-    let mut reached = vec![0u64; n];
-    let mut cur = vec![0u64; n];
-    let mut nxt = vec![0u64; n];
-    let mut cur_list: Vec<u32> = vec![source as u32];
-    let mut nxt_list: Vec<u32> = Vec::new();
-    reached[source] = !0;
-    cur[source] = !0;
-    for _ in 0..d {
-        for &v in &cur_list {
-            let v = v as usize;
-            let fv = cur[v];
-            for &(w, e) in csr.neighbors(v) {
-                let w = w as usize;
-                let add = fv & masks[e as usize] & !reached[w];
-                if add != 0 {
-                    if nxt[w] == 0 {
-                        nxt_list.push(w as u32);
-                    }
-                    nxt[w] |= add;
-                    reached[w] |= add;
-                }
-            }
-        }
-        for &v in &cur_list {
-            cur[v as usize] = 0;
-        }
-        std::mem::swap(&mut cur, &mut nxt);
-        std::mem::swap(&mut cur_list, &mut nxt_list);
-        nxt_list.clear();
-        if cur_list.is_empty() {
-            break;
-        }
-    }
-    reached
+    let mut levels = Levels::new(csr.num_vertices());
+    levels.run(csr, masks, source, d, |_| false);
+    levels.reached
 }
 
 /// Number of 64-lane blocks a sample budget occupies.
@@ -355,26 +447,56 @@ const BANK_MAX_WORDS: usize = 1 << 20;
 /// Entry cap; reaching it drops the whole map before the next insert.
 const BANK_MAX_ENTRIES: usize = 64;
 
-/// Cross-query memo for packed world masks.
+/// One memoized world draw: the `blocks × edges` mask matrix and, for
+/// dense parts once a connectivity query asks, every world's component
+/// labels.
+struct BankEntry {
+    masks: Vec<u64>,
+    labels: OnceLock<Vec<u64>>,
+}
+
+impl BankEntry {
+    /// The component labels of part `g`'s worlds, built on first use, when
+    /// they take no more words than the masks (`n · ⌈log2 n⌉ ≤ edges`);
+    /// `None` for sparser parts.
+    fn labels(&self, g: &UncertainGraph, samples: usize) -> Option<&[u64]> {
+        let n = g.num_vertices();
+        if n * label_bits(n) > g.num_edges() {
+            return None;
+        }
+        Some(self.labels.get_or_init(|| {
+            component_labels(&CsrAdjacency::build(g), &self.masks, lane_blocks(samples))
+        }))
+    }
+}
+
+/// Cross-query memo for packed world masks and, for dense parts, their
+/// component labels.
 ///
-/// Drawing the presence masks is the expensive part of a packed run
-/// (several raw RNG words per edge per block; the word-wide BFS over them
-/// is cheap), and the masks are a pure function of
-/// `(edges, samples, seed)` alone — terminals, source, and hop bound only
-/// affect the propagation pass. A multi-query engine answering many
-/// terminal pairs over one registered graph with one seed therefore
-/// redraws byte-identical worlds on every query; the bank memoizes the
-/// mask matrix so repeat queries skip straight to the BFS. Connectivity
-/// and hop-bounded parts share the same entry.
+/// The presence masks are a pure function of `(edges, samples, seed)`
+/// alone — terminals, source, and hop bound only affect the propagation
+/// pass. A multi-query engine answering many terminal pairs over one
+/// registered graph with one seed therefore redraws byte-identical worlds
+/// on every query; the bank memoizes the mask matrix so repeat queries skip
+/// the draws. Connectivity and hop-bounded parts share the same entry.
+///
+/// With the draws shared, the BFS is the cost of a repeat query, so the
+/// first connectivity query on an entry also labels each vertex of each
+/// world with its component's least vertex id, when the labels take no
+/// more words than the masks (`n · ⌈log2 n⌉ ≤ edges`), which keeps an
+/// entry at most twice its masks. Connectivity parts on such an entry
+/// compare terminal labels instead of running a BFS; d-hop parts and
+/// sparser parts keep the BFS kernels (DESIGN.md §12.5).
 ///
 /// Correctness is unconditional: an entry is the value of a pure function
-/// of its key, so hitting, missing, or evicting can never change a result
-/// — only wall-clock. Oversized parts (> ~8 MB of masks) skip the bank
-/// entirely, and the map is dropped wholesale when it reaches
-/// `BANK_MAX_ENTRIES` (64) distinct keys.
+/// of its key, and the labels give exactly the BFS's hit lanes, so hitting,
+/// missing, labelling, or evicting can never change a result — only
+/// wall-clock. Oversized parts (> ~8 MB of masks) skip the bank entirely,
+/// and the map is dropped wholesale when it reaches `BANK_MAX_ENTRIES`
+/// (64) distinct keys.
 #[derive(Default)]
 pub struct WorldBank {
-    inner: Mutex<HashMap<WorldKey, Arc<Vec<u64>>>>,
+    inner: Mutex<HashMap<WorldKey, Arc<BankEntry>>>,
 }
 
 impl WorldBank {
@@ -400,13 +522,14 @@ impl WorldBank {
         part_impl(Some(self), part, cfg)
     }
 
-    /// Drop every memoized mask matrix whose key embeds an edge with
-    /// probability bits `prob_bits`; returns how many were dropped. The
-    /// mutation layer calls this after an edge update or removal: entries
-    /// are values of a pure function of their key, so dropping is memory
-    /// hygiene (a mutated part re-keys and can never hit a stale entry) —
-    /// matching on the old probability bits over-approximates "covers the
-    /// mutated edge" exactly like the plan cache's scoped invalidation.
+    /// Drop every memoized mask matrix (with its labels) whose key embeds an
+    /// edge with probability bits `prob_bits`; returns how many were
+    /// dropped. The mutation layer calls this after an edge update or
+    /// removal: entries are values of a pure function of their key, so
+    /// dropping is memory hygiene (a mutated part re-keys and can never hit
+    /// a stale entry) — matching on the old probability bits
+    /// over-approximates "covers the mutated edge" exactly like the plan
+    /// cache's scoped invalidation.
     pub fn invalidate_prob(&self, prob_bits: u64) -> usize {
         let mut map = self.inner.lock().expect("world bank poisoned");
         let before = map.len();
@@ -416,16 +539,19 @@ impl WorldBank {
         before - map.len()
     }
 
-    /// The memoized `blocks × edges` mask matrix for this key, computing
-    /// and installing it on a miss.
-    fn masks(&self, g: &UncertainGraph, cfg: BitSamplingConfig) -> Arc<Vec<u64>> {
+    /// The memoized entry for this key, drawing and installing the masks
+    /// on a miss.
+    fn entry(&self, g: &UncertainGraph, cfg: BitSamplingConfig) -> Arc<BankEntry> {
         let key = WorldKey::of(g, cfg);
         if let Some(hit) = self.inner.lock().expect("world bank poisoned").get(&key) {
             return Arc::clone(hit);
         }
         // Compute outside the lock; concurrent misses on the same key do
         // redundant (but identical) work and the first insert wins.
-        let fresh = Arc::new(mask_matrix(g, cfg));
+        let fresh = Arc::new(BankEntry {
+            masks: mask_matrix(g, cfg),
+            labels: OnceLock::new(),
+        });
         let mut map = self.inner.lock().expect("world bank poisoned");
         if map.len() >= BANK_MAX_ENTRIES {
             map.clear();
@@ -450,30 +576,26 @@ fn mask_matrix(g: &UncertainGraph, cfg: BitSamplingConfig) -> Vec<u64> {
     .collect()
 }
 
-/// Per-block propagation over a memoized mask matrix: run the early-exit
-/// hit kernel on every block's mask slice and sum the lane popcounts.
-fn matrix_hits(
-    g: &UncertainGraph,
-    masks: &[u64],
+/// Sum over blocks of the popcount of `hit(block, live)`, where `words`
+/// holds `stride` words per block — a memoized entry's masks or labels.
+fn sum_block_hits(
+    words: &[u64],
+    stride: usize,
     samples: usize,
-    source: VertexId,
-    hops: Option<u32>,
-    terminals: &[VertexId],
+    mut hit: impl FnMut(&[u64], u64) -> u64,
 ) -> u64 {
-    let csr = CsrAdjacency::build(g);
-    let m = g.num_edges();
     let blocks = lane_blocks(samples);
-    let mut hits = 0u64;
-    for b in 0..blocks {
-        let mb = &masks[b * m..(b + 1) * m];
-        let live = block_lane_mask(samples, b, blocks);
-        let hit = match hops {
-            None => packed_hits_from(&csr, mb, source, terminals, live),
-            Some(d) => packed_hits_within(&csr, mb, source, d, terminals, live),
-        };
-        hits += u64::from(hit.count_ones());
-    }
-    hits
+    (0..blocks)
+        .map(|b| {
+            let live = block_lane_mask(samples, b, blocks);
+            u64::from(hit(&words[b * stride..(b + 1) * stride], live).count_ones())
+        })
+        .sum()
+}
+
+/// `live & ⋀_t reached[t]`: the lanes where every terminal is reached.
+fn hit_lanes(reached: &[u64], terminals: &[VertexId], live: u64) -> u64 {
+    terminals.iter().fold(live, |hit, &t| hit & reached[t])
 }
 
 /// Hit lanes of one block: `live & ⋀_t reached[t]` — computed with the
@@ -483,46 +605,16 @@ fn matrix_hits(
 /// at the natural fixpoint) yields exactly the full kernel's AND — on
 /// dense graphs after touching a small fraction of the edges.
 fn packed_hits_from(
+    list: &mut Worklist,
     csr: &CsrAdjacency,
     masks: &[u64],
     source: VertexId,
     terminals: &[VertexId],
     live: u64,
 ) -> u64 {
-    let n = csr.num_vertices();
-    let mut reached = vec![0u64; n];
-    let mut in_queue = vec![false; n];
-    let mut stack: Vec<u32> = Vec::with_capacity(n);
-    reached[source] = !0;
-    in_queue[source] = true;
-    stack.push(source as u32);
-    let hit_lanes = |reached: &[u64]| {
-        let mut hit = live;
-        for &t in terminals {
-            hit &= reached[t];
-        }
-        hit
-    };
-    while let Some(v) = stack.pop() {
-        let v = v as usize;
-        in_queue[v] = false;
-        let rv = reached[v];
-        for &(w, e) in csr.neighbors(v) {
-            let w = w as usize;
-            let add = rv & masks[e as usize] & !reached[w];
-            if add != 0 {
-                reached[w] |= add;
-                if !in_queue[w] {
-                    in_queue[w] = true;
-                    stack.push(w as u32);
-                }
-            }
-        }
-        if hit_lanes(&reached) == live {
-            return live;
-        }
-    }
-    hit_lanes(&reached)
+    list.start(source, !0);
+    list.run(csr, masks, |r| hit_lanes(r, terminals, live) == live);
+    hit_lanes(&list.reached, terminals, live)
 }
 
 /// Hop-bounded analogue of [`packed_hits_from`]: the level-synchronous
@@ -530,6 +622,7 @@ fn packed_hits_from(
 /// has a within-bound `source`–terminal path (checked after each relaxed
 /// frontier vertex — hit lanes are monotone here too).
 fn packed_hits_within(
+    levels: &mut Levels,
     csr: &CsrAdjacency,
     masks: &[u64],
     source: VertexId,
@@ -537,54 +630,72 @@ fn packed_hits_within(
     terminals: &[VertexId],
     live: u64,
 ) -> u64 {
+    levels.run(csr, masks, source, d, |r| {
+        hit_lanes(r, terminals, live) == live
+    });
+    hit_lanes(&levels.reached, terminals, live)
+}
+
+/// Bit planes per component label: labels are vertex ids `0..n`, so
+/// `⌈log2 n⌉` bits, and at least one.
+fn label_bits(n: usize) -> usize {
+    (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1) as usize
+}
+
+/// Every world's component labels over a mask matrix, bit-sliced: for
+/// block `b` and vertex `v`, the `bits` words at `(b·n + v)·bits` hold
+/// bit `i` of `v`'s label in world `j` at lane `j` of word `i`. A label is
+/// the least vertex id of the component.
+fn component_labels(csr: &CsrAdjacency, masks: &[u64], blocks: usize) -> Vec<u64> {
+    let m = masks.len() / blocks.max(1);
+    (0..blocks)
+        .flat_map(|b| block_labels(csr, &masks[b * m..(b + 1) * m]))
+        .collect()
+}
+
+/// One block of [`component_labels`]. Roots go in id order; a root's BFS
+/// runs only in the lanes where no smaller root has reached it, where it
+/// is therefore its component's least vertex, so each (lane, vertex) pair
+/// is labelled exactly once.
+fn block_labels(csr: &CsrAdjacency, masks: &[u64]) -> Vec<u64> {
     let n = csr.num_vertices();
-    let mut reached = vec![0u64; n];
-    let mut cur = vec![0u64; n];
-    let mut nxt = vec![0u64; n];
-    let mut cur_list: Vec<u32> = vec![source as u32];
-    let mut nxt_list: Vec<u32> = Vec::new();
-    reached[source] = !0;
-    cur[source] = !0;
-    let hit_lanes = |reached: &[u64]| {
-        let mut hit = live;
-        for &t in terminals {
-            hit &= reached[t];
+    let bits = label_bits(n);
+    let mut planes = vec![0u64; n * bits];
+    let mut assigned = vec![0u64; n];
+    let mut list = Worklist::new(n);
+    for root in 0..n {
+        let open = !assigned[root];
+        if open == 0 {
+            continue;
         }
-        hit
-    };
-    if hit_lanes(&reached) == live {
-        return live;
-    }
-    for _ in 0..d {
-        for &v in &cur_list {
-            let v = v as usize;
-            let fv = cur[v];
-            for &(w, e) in csr.neighbors(v) {
-                let w = w as usize;
-                let add = fv & masks[e as usize] & !reached[w];
-                if add != 0 {
-                    if nxt[w] == 0 {
-                        nxt_list.push(w as u32);
-                    }
-                    nxt[w] |= add;
-                    reached[w] |= add;
+        list.start(root, open);
+        list.run(csr, masks, |_| false);
+        for &w in &list.touched {
+            let w = w as usize;
+            let lanes = list.reached[w];
+            assigned[w] |= lanes;
+            for (i, plane) in planes[w * bits..(w + 1) * bits].iter_mut().enumerate() {
+                if root >> i & 1 == 1 {
+                    *plane |= lanes;
                 }
             }
-            if hit_lanes(&reached) == live {
-                return live;
-            }
-        }
-        for &v in &cur_list {
-            cur[v as usize] = 0;
-        }
-        std::mem::swap(&mut cur, &mut nxt);
-        std::mem::swap(&mut cur_list, &mut nxt_list);
-        nxt_list.clear();
-        if cur_list.is_empty() {
-            break;
         }
     }
-    hit_lanes(&reached)
+    planes
+}
+
+/// Hit lanes of one block from its label planes: the live lanes where
+/// every terminal carries the first terminal's label, i.e. where all
+/// terminals share a component — the lanes the BFS kernels return.
+fn label_hits(planes: &[u64], bits: usize, terminals: &[VertexId], live: u64) -> u64 {
+    let Some((&t0, rest)) = terminals.split_first() else {
+        return live;
+    };
+    let p0 = &planes[t0 * bits..(t0 + 1) * bits];
+    rest.iter().fold(live, |hit, &t| {
+        let pt = &planes[t * bits..(t + 1) * bits];
+        p0.iter().zip(pt).fold(hit, |hit, (a, b)| hit & !(a ^ b))
+    })
 }
 
 /// A bank only helps when the mask matrix is small enough to keep;
@@ -629,8 +740,23 @@ fn reliability_impl(
     let start = t.iter().copied().min().expect("two or more terminals");
     let blocks = lane_blocks(cfg.samples);
     let hits: u64 = if let Some(bank) = usable_bank(bank, g, cfg.samples) {
-        let masks = bank.masks(g, cfg);
-        matrix_hits(g, &masks, cfg.samples, start, None, &t)
+        let entry = bank.entry(g, cfg);
+        let n = g.num_vertices();
+        match entry.labels(g, cfg.samples) {
+            Some(labels) => {
+                let bits = label_bits(n);
+                sum_block_hits(labels, n * bits, cfg.samples, |planes, live| {
+                    label_hits(planes, bits, &t, live)
+                })
+            }
+            None => {
+                let csr = CsrAdjacency::build(g);
+                let mut list = Worklist::new(n);
+                sum_block_hits(&entry.masks, g.num_edges(), cfg.samples, |masks, live| {
+                    packed_hits_from(&mut list, &csr, masks, start, &t, live)
+                })
+            }
+        }
     } else {
         let csr = CsrAdjacency::build(g);
         let threads = resolve_threads(cfg.threads, blocks);
@@ -639,7 +765,8 @@ fn reliability_impl(
             let mut rng = block_rng(cfg.seed, b);
             let masks = packed_world_masks(g, &mut rng);
             let live = block_lane_mask(cfg.samples, b, blocks);
-            let hit = packed_hits_from(&csr, &masks, start, t, live);
+            let mut list = Worklist::new(g.num_vertices());
+            let hit = packed_hits_from(&mut list, &csr, &masks, start, t, live);
             u64::from(hit.count_ones())
         })
         .into_iter()
@@ -682,8 +809,12 @@ fn dhop_impl(
     }
     let blocks = lane_blocks(cfg.samples);
     let hits: u64 = if let Some(bank) = usable_bank(bank, g, cfg.samples) {
-        let masks = bank.masks(g, cfg);
-        matrix_hits(g, &masks, cfg.samples, s, Some(d), &[t])
+        let entry = bank.entry(g, cfg);
+        let csr = CsrAdjacency::build(g);
+        let mut levels = Levels::new(g.num_vertices());
+        sum_block_hits(&entry.masks, g.num_edges(), cfg.samples, |masks, live| {
+            packed_hits_within(&mut levels, &csr, masks, s, d, &[t], live)
+        })
     } else {
         let csr = CsrAdjacency::build(g);
         let threads = resolve_threads(cfg.threads, blocks);
@@ -691,7 +822,8 @@ fn dhop_impl(
             let mut rng = block_rng(cfg.seed, b);
             let masks = packed_world_masks(g, &mut rng);
             let live = block_lane_mask(cfg.samples, b, blocks);
-            let hit = packed_hits_within(&csr, &masks, s, d, &[t], live);
+            let mut levels = Levels::new(g.num_vertices());
+            let hit = packed_hits_within(&mut levels, &csr, &masks, s, d, &[t], live);
             u64::from(hit.count_ones())
         })
         .into_iter()
@@ -959,6 +1091,11 @@ mod tests {
             (split, vec![0, 4]),
         ] {
             let csr = CsrAdjacency::build(&g);
+            // One set of buffers for every call, as a bank call reuses
+            // them across blocks: an early exit must not leak state into
+            // the next run.
+            let mut list = Worklist::new(g.num_vertices());
+            let mut levels = Levels::new(g.num_vertices());
             for seed in [1u64, 99, 0xFEED] {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let masks = packed_world_masks(&g, &mut rng);
@@ -969,88 +1106,208 @@ mod tests {
                     for &t in &terminals {
                         want &= reached[t];
                     }
-                    let got = packed_hits_from(&csr, &masks, source, &terminals, live);
+                    let got = packed_hits_from(&mut list, &csr, &masks, source, &terminals, live);
                     assert_eq!(got, want, "seed {seed}, live {live:#x}");
                 }
                 for d in 1..4 {
                     let within = packed_reach_within(&csr, &masks, source, d);
                     let t = *terminals.last().unwrap();
-                    let got = packed_hits_within(&csr, &masks, source, d, &[t], !0);
+                    let got = packed_hits_within(&mut levels, &csr, &masks, source, d, &[t], !0);
                     assert_eq!(got, within[t], "seed {seed}, d {d}");
                 }
             }
         }
     }
 
+    /// Least vertex id of each vertex's component in one world, by scalar
+    /// BFS from every vertex in id order.
+    fn scalar_least_labels(g: &UncertainGraph, present: &[bool]) -> Vec<usize> {
+        let n = g.num_vertices();
+        let mut label = vec![usize::MAX; n];
+        for root in 0..n {
+            if label[root] != usize::MAX {
+                continue;
+            }
+            label[root] = root;
+            let mut queue = vec![root];
+            while let Some(v) = queue.pop() {
+                for &(w, e) in g.neighbors(v) {
+                    if present[e] && label[w] == usize::MAX {
+                        label[w] = root;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+        label
+    }
+
+    #[test]
+    fn component_labels_are_lane_exact_and_give_the_bfs_hit_lanes() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x1ABE1);
+        for case in 0..24 {
+            // Up to 40 vertices, some left isolated; edge density from a
+            // near-forest to a near-clique, so graphs on both sides of the
+            // density rule are labelled.
+            let n = rng.gen_range(2..=40usize);
+            let isolated: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.15)).collect();
+            let density = [0.05, 0.2, 0.6, 0.95][case % 4];
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in u + 1..n {
+                    if !isolated[u] && !isolated[v] && rng.gen_bool(density) {
+                        edges.push((u, v, [0.1, 0.3, 0.5, 0.8, 1.0][rng.gen_range(0..5usize)]));
+                    }
+                }
+            }
+            let g = UncertainGraph::new(n, edges).unwrap();
+            let csr = CsrAdjacency::build(&g);
+            let m = g.num_edges();
+            let bits = label_bits(n);
+            for samples in [1, 63, 64, 65, 200] {
+                let cfg = BitSamplingConfig {
+                    samples,
+                    seed: rng.gen(),
+                    threads: 1,
+                };
+                let blocks = lane_blocks(samples);
+                let masks = mask_matrix(&g, cfg);
+                let labels = component_labels(&csr, &masks, blocks);
+                assert_eq!(labels.len(), blocks * n * bits);
+                for b in 0..blocks {
+                    let mb = &masks[b * m..(b + 1) * m];
+                    let planes = &labels[b * n * bits..(b + 1) * n * bits];
+                    for lane in 0..LANES {
+                        let present: Vec<bool> = mb.iter().map(|w| w >> lane & 1 == 1).collect();
+                        let want = scalar_least_labels(&g, &present);
+                        for (v, &want) in want.iter().enumerate() {
+                            let got = (0..bits)
+                                .map(|i| (planes[v * bits + i] >> lane & 1) << i)
+                                .sum::<u64>();
+                            assert_eq!(
+                                got, want as u64,
+                                "case {case}, samples {samples}, block {b}, lane {lane}, vertex {v}"
+                            );
+                        }
+                    }
+                    // 2–5 terminals, plus a pair through an isolated vertex
+                    // when there is one: it never connects.
+                    let live = block_lane_mask(samples, b, blocks);
+                    let mut sets: Vec<Vec<usize>> = (2..=5.min(n))
+                        .map(|k| {
+                            let mut t: Vec<usize> = (0..n).collect();
+                            for i in 0..k {
+                                let j = rng.gen_range(i..n);
+                                t.swap(i, j);
+                            }
+                            t.truncate(k);
+                            t.sort_unstable();
+                            t
+                        })
+                        .collect();
+                    if let Some(iso) = isolated.iter().position(|&i| i) {
+                        sets.push(vec![iso.min((iso + 1) % n), iso.max((iso + 1) % n)]);
+                    }
+                    for t in sets {
+                        let reached = packed_reach_from(&csr, mb, t[0]);
+                        let want = t.iter().fold(live, |hit, &v| hit & reached[v]);
+                        assert_eq!(
+                            label_hits(planes, bits, &t, live),
+                            want,
+                            "case {case}, samples {samples}, block {b}, terminals {t:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// K8 at p = 0.3: dense enough for component labels (8·3 ≤ 28 edges),
+    /// so a banked connectivity query on it answers from the labels.
+    fn k8_graph() -> (UncertainGraph, Vec<usize>) {
+        let edges = (0..8).flat_map(|u| (u + 1..8).map(move |v| (u, v, 0.3)));
+        (UncertainGraph::new(8, edges).unwrap(), vec![0, 5])
+    }
+
     #[test]
     fn world_bank_is_byte_identical_to_the_uncached_solver() {
-        let (g, t) = bridge_graph();
-        let cfg = BitSamplingConfig {
-            samples: 12_345,
-            seed: 17,
-            threads: 1,
-        };
-        let bank = WorldBank::new();
-        let conn = SemPart::connectivity(g.clone(), t.clone());
-        let plain = bitsample_part(&conn, cfg).unwrap();
-        // First call installs, second call reuses; both must match the
-        // uncached solver bit for bit.
-        for round in 0..2 {
-            let banked = bank.part(&conn, cfg).unwrap();
+        // The bridge graph stays below the density rule (the bank's BFS
+        // path); K8 answers from component labels on every call.
+        for (g, t) in [bridge_graph(), k8_graph()] {
+            let cfg = BitSamplingConfig {
+                samples: 12_345,
+                seed: 17,
+                threads: 1,
+            };
+            let bank = WorldBank::new();
+            let conn = SemPart::connectivity(g.clone(), t.clone());
+            let plain = bitsample_part(&conn, cfg).unwrap();
+            // First call installs, second call reuses; both must match the
+            // uncached solver bit for bit.
+            for round in 0..2 {
+                let banked = bank.part(&conn, cfg).unwrap();
+                assert_eq!(
+                    plain.estimate.to_bits(),
+                    banked.estimate.to_bits(),
+                    "round {round}"
+                );
+                assert_eq!(
+                    plain.variance_estimate.to_bits(),
+                    banked.variance_estimate.to_bits()
+                );
+                assert_eq!(plain.samples_used, banked.samples_used);
+            }
+            assert_eq!(bank.len(), 1);
+            let dpart = SemPart {
+                graph: g,
+                terminals: t,
+                computation: PartComputation::DHop { d: 2 },
+            };
+            let dplain = bitsample_part(&dpart, cfg).unwrap();
+            let dbanked = bank.part(&dpart, cfg).unwrap();
+            assert_eq!(dplain.estimate.to_bits(), dbanked.estimate.to_bits());
             assert_eq!(
-                plain.estimate.to_bits(),
-                banked.estimate.to_bits(),
-                "round {round}"
+                bank.len(),
+                1,
+                "hop-bounded parts share the connectivity masks"
             );
-            assert_eq!(
-                plain.variance_estimate.to_bits(),
-                banked.variance_estimate.to_bits()
-            );
-            assert_eq!(plain.samples_used, banked.samples_used);
         }
-        assert_eq!(bank.len(), 1);
-        let dpart = SemPart {
-            graph: g,
-            terminals: vec![0, 2],
-            computation: PartComputation::DHop { d: 2 },
-        };
-        let dplain = bitsample_part(&dpart, cfg).unwrap();
-        let dbanked = bank.part(&dpart, cfg).unwrap();
-        assert_eq!(dplain.estimate.to_bits(), dbanked.estimate.to_bits());
-        assert_eq!(
-            bank.len(),
-            1,
-            "hop-bounded parts share the connectivity masks"
-        );
     }
 
     #[test]
     fn world_bank_shares_one_matrix_across_terminal_sets() {
-        let (g, _) = bridge_graph();
-        let cfg = BitSamplingConfig {
-            samples: 2_000,
-            seed: 5,
-            threads: 1,
-        };
-        let bank = WorldBank::new();
-        // The masks depend only on (edges, samples, seed): every terminal
-        // set — any source vertex — reuses the first query's entry.
-        for terminals in [vec![0, 2], vec![1, 3], vec![0, 1, 3]] {
-            let part = SemPart::connectivity(g.clone(), terminals.clone());
-            let banked = bank.part(&part, cfg).unwrap();
-            let plain = bitsample_part(&part, cfg).unwrap();
-            assert_eq!(
-                plain.estimate.to_bits(),
-                banked.estimate.to_bits(),
-                "{terminals:?}"
-            );
+        let (bridge, _) = bridge_graph();
+        let (k8, _) = k8_graph();
+        for (g, terminal_sets) in [
+            (bridge, [vec![0, 2], vec![1, 3], vec![0, 1, 3]]),
+            (k8, [vec![0, 5], vec![2, 7], vec![1, 3, 6]]),
+        ] {
+            let cfg = BitSamplingConfig {
+                samples: 2_000,
+                seed: 5,
+                threads: 1,
+            };
+            let bank = WorldBank::new();
+            // The masks depend only on (edges, samples, seed): every terminal
+            // set — any source vertex — reuses the first query's entry.
+            for terminals in terminal_sets {
+                let part = SemPart::connectivity(g.clone(), terminals.clone());
+                let banked = bank.part(&part, cfg).unwrap();
+                let plain = bitsample_part(&part, cfg).unwrap();
+                assert_eq!(
+                    plain.estimate.to_bits(),
+                    banked.estimate.to_bits(),
+                    "{terminals:?}"
+                );
+            }
+            assert_eq!(bank.len(), 1);
+            // A different seed draws different worlds: a second entry.
+            let part = SemPart::connectivity(g, vec![0, 2]);
+            bank.part(&part, BitSamplingConfig { seed: 6, ..cfg })
+                .unwrap();
+            assert_eq!(bank.len(), 2);
         }
-        assert_eq!(bank.len(), 1);
-        // A different seed draws different worlds: a second entry.
-        let part = SemPart::connectivity(g, vec![0, 2]);
-        bank.part(&part, BitSamplingConfig { seed: 6, ..cfg })
-            .unwrap();
-        assert_eq!(bank.len(), 2);
     }
 
     #[test]

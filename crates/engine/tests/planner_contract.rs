@@ -159,39 +159,63 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
 
 #[test]
 fn planned_answers_identical_across_engines_and_worker_counts() {
-    let g = clique(45);
-    let queries: Vec<PlannedQuery> = [vec![0, 44], vec![3, 17]]
-        .into_iter()
-        .map(|t| PlannedQuery::new(t, PlanBudget::default()))
-        .collect();
-    let mut reference: Option<Vec<(u64, u64, u64)>> = None;
-    for cfg in [
-        EngineConfig::sequential(),
-        EngineConfig {
-            workers: 8,
-            plan_cache_capacity: 0,
-        },
-        EngineConfig::default(),
-    ] {
-        let mut engine = Engine::new(cfg);
-        let id = engine.register("clique45", g.clone());
-        let bits: Vec<(u64, u64, u64)> = engine
-            .run_planned_batch(id, &queries)
-            .unwrap()
+    // Every world of `clique(45)` connects, so any kernel answers 1 there;
+    // the sparse-probability clique is sampled too but answers ~0.6–0.7,
+    // so its hit counts pin the packed kernels and the world bank's
+    // component labels.
+    let inputs = [
+        (clique(45), vec![vec![0, 44], vec![3, 17]]),
+        (
+            netrel_datasets::fixtures::clique_uniform(45, 0.05),
+            vec![vec![0, 44], vec![3, 17], vec![5, 20, 33]],
+        ),
+    ];
+    for (g, terminal_sets) in inputs {
+        let queries: Vec<PlannedQuery> = terminal_sets
             .into_iter()
-            .map(|a| {
-                let a = a.unwrap();
-                (
-                    a.estimate.to_bits(),
-                    a.ci.lower.to_bits(),
-                    a.ci.upper.to_bits(),
-                )
-            })
+            .map(|t| PlannedQuery::new(t, PlanBudget::default()))
             .collect();
-        match &reference {
-            None => reference = Some(bits),
-            Some(r) => assert_eq!(r, &bits, "{cfg:?}"),
+        let bits_of = |a: netrel_engine::ReliabilityAnswer| {
+            (
+                a.estimate.to_bits(),
+                a.ci.lower.to_bits(),
+                a.ci.upper.to_bits(),
+            )
+        };
+        let mut reference: Option<Vec<(u64, u64, u64)>> = None;
+        for cfg in [
+            EngineConfig::sequential(),
+            EngineConfig {
+                workers: 8,
+                plan_cache_capacity: 0,
+            },
+            EngineConfig::default(),
+        ] {
+            let mut engine = Engine::new(cfg);
+            let id = engine.register("clique45", g.clone());
+            let bits: Vec<(u64, u64, u64)> = engine
+                .run_planned_batch(id, &queries)
+                .unwrap()
+                .into_iter()
+                .map(|a| bits_of(a.unwrap()))
+                .collect();
+            match &reference {
+                None => reference = Some(bits),
+                Some(r) => assert_eq!(r, &bits, "{cfg:?}"),
+            }
         }
+        // One query at a time, in reverse order: a different terminal set
+        // now draws the world bank's masks and builds its component labels,
+        // and every answer must still equal the batch's.
+        let mut engine = Engine::new(EngineConfig::sequential());
+        let id = engine.register("clique45", g.clone());
+        let mut bits: Vec<(u64, u64, u64)> = queries
+            .iter()
+            .rev()
+            .map(|q| bits_of(engine.run_planned(id, q).unwrap()))
+            .collect();
+        bits.reverse();
+        assert_eq!(reference.as_ref(), Some(&bits), "one at a time, reversed");
     }
 }
 
