@@ -30,6 +30,10 @@
 //! successor straight into the arena's pending row, reading only per-layer
 //! slot maps that [`FrontierMachine::advance`] computes once per layer.
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use netrel_numeric::fxhash::FxHasher;
 use netrel_ugraph::ordering::{EdgeOrder, FrontierPlan};
 use netrel_ugraph::{EdgeId, GraphError, UncertainGraph, VertexId};

@@ -14,6 +14,21 @@
 //! EOF
 //! ```
 
+// Request path (docs/lints.md): a hostile request line gets a protocol
+// error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::disallowed_macros,
+    clippy::disallowed_types
+)]
+
 use netrel_engine::service::Service;
 use netrel_engine::{Engine, EngineConfig, Recorder};
 use std::io::{self, BufRead, Write};

@@ -39,6 +39,10 @@
 //! operations instead of one BFS per block. Either way the hit lanes are
 //! the ones the BFS computes, byte-identical by construction.
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -390,7 +394,10 @@ fn block_rng(seed: u64, b: usize) -> StdRng {
 
 fn resolve_threads(threads: usize, blocks: usize) -> usize {
     match threads {
-        // netrel-lint: allow(thread-count, reason = "worker count only picks how the seed-stable blocks are partitioned; every block's draws are identical for any thread count")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "worker count only picks how the seed-stable blocks are partitioned; every block's draws are identical for any thread count"
+        )]
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -533,8 +540,10 @@ impl WorldBank {
     pub fn invalidate_prob(&self, prob_bits: u64) -> usize {
         let mut map = self.inner.lock().expect("world bank poisoned");
         let before = map.len();
-        // Retain with a per-entry predicate drops the same set in any
-        // iteration order, so hash-map order cannot leak into answers.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a per-entry predicate drops the same set in any iteration order"
+        )]
         map.retain(|key, _| key.edges.iter().all(|&(_, _, pb)| pb != prob_bits));
         before - map.len()
     }

@@ -12,6 +12,10 @@
 //! variance) depend on `(samples, estimator, seed)` alone, never on how many
 //! cores `threads = 0` detects at runtime.
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use netrel_s2bdd::{EstimatorKind, S2BddResult};
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId, WorldSampler};
 use rand::rngs::StdRng;
@@ -139,7 +143,10 @@ where
     let stream_rng =
         |i: usize| StdRng::seed_from_u64(cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15));
     let threads = match cfg.threads {
-        // netrel-lint: allow(thread-count, reason = "worker count only picks how the seed-stable streams are partitioned; every stream's draws are identical for any thread count")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "worker count only picks how the seed-stable streams are partitioned; every stream's draws are identical for any thread count"
+        )]
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

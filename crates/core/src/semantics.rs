@@ -44,6 +44,15 @@
 //! assert!(r.exact && (r.estimate - truth).abs() < 1e-12);
 //! ```
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration, and every `SemanticsSpec` match names
+// each variant.
+#![deny(
+    clippy::disallowed_methods,
+    clippy::iter_over_hash_type,
+    clippy::wildcard_enum_match_arm
+)]
+
 use crate::dhop::{dhop_exact_part, sample_dhop_part, DHOP_EXACT_EDGE_LIMIT};
 use crate::pro::{combine_part_results, part_s2bdd_config, zero_pro_result, ProConfig, ProResult};
 use crate::sampling::{sample_part_result, SamplingConfig};

@@ -14,7 +14,8 @@
 //! part over the same subgraph are different subproblems, as are two d-hop
 //! parts with different hop bounds), and the complete solver
 //! discriminant — a [`PartSolver`] naming the solver family *and* its full
-//! configuration (for S2BDD runs the complete [`S2BddConfig`], per-part
+//! configuration (for S2BDD runs the complete
+//! [`S2BddConfig`](netrel_s2bdd::S2BddConfig), per-part
 //! seed included; for flat sampling the sample count, estimator, and
 //! seed). Two subproblems alias only if every one of those is identical —
 //! in which case the solver is deterministic and the cached result *is*
@@ -23,10 +24,13 @@
 //! sampling run can never alias an S2BDD run, and no semantics variant can
 //! ever alias a cached two-terminal (connectivity) plan.
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::planner::PartSolver;
 use netrel_core::{PartComputation, SemPart};
-use netrel_s2bdd::{S2BddConfig, S2BddResult};
-use netrel_ugraph::{UncertainGraph, VertexId};
+use netrel_s2bdd::S2BddResult;
 use std::collections::HashMap;
 
 /// Canonical identity of one part-level solve.
@@ -51,42 +55,21 @@ pub struct PlanKey {
 }
 
 impl PlanKey {
-    /// Build the key for one S2BDD solve of a connectivity part
-    /// `(graph, terminals)` under `config` (a [`Policy::Fixed`](crate::Policy)
-    /// connectivity part).
-    pub fn new(graph: &UncertainGraph, terminals: &[VertexId], config: S2BddConfig) -> Self {
-        Self::for_solver(graph, terminals, PartSolver::S2Bdd(config))
-    }
-
-    /// Build the key for solving a connectivity part `(graph, terminals)`
-    /// with an arbitrary routed [`PartSolver`].
-    pub fn for_solver(graph: &UncertainGraph, terminals: &[VertexId], solver: PartSolver) -> Self {
-        Self::build(graph, terminals, PartComputation::Connectivity, solver)
-    }
-
     /// Build the key for solving a semantics [`SemPart`] (which carries its
     /// own [`PartComputation`]) with `solver`.
     pub fn for_part(part: &SemPart, solver: PartSolver) -> Self {
-        Self::build(&part.graph, &part.terminals, part.computation, solver)
-    }
-
-    fn build(
-        graph: &UncertainGraph,
-        terminals: &[VertexId],
-        computation: PartComputation,
-        solver: PartSolver,
-    ) -> Self {
-        let edges: Box<[(u32, u32, u64)]> = graph
+        let edges: Box<[(u32, u32, u64)]> = part
+            .graph
             .edges()
             .iter()
             .map(|e| (e.u as u32, e.v as u32, e.p.to_bits()))
             .collect();
-        let mut terminals: Box<[u32]> = terminals.iter().map(|&t| t as u32).collect();
+        let mut terminals: Box<[u32]> = part.terminals.iter().map(|&t| t as u32).collect();
         terminals.sort_unstable();
         PlanKey {
             edges,
             terminals,
-            computation,
+            computation: part.computation,
             solver,
         }
     }
@@ -190,7 +173,10 @@ impl PlanCache {
             // (stamped from a monotone counter), so the min is the same in
             // any iteration order — and eviction can only change wall-clock,
             // never a result (see the module header).
-            // netrel-lint: allow(hash-iteration, reason = "min over unique monotone ticks is order-independent; eviction never changes an answer")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "min over unique monotone ticks is order-independent; eviction never changes an answer"
+            )]
             let lru = self.map.iter().min_by_key(|(_, e)| e.last_used);
             if let Some((lru, age)) = lru.map(|(k, e)| (k.clone(), self.tick - e.last_used)) {
                 self.map.remove(&lru);
@@ -225,7 +211,11 @@ impl PlanCache {
     /// monotone hit/miss counters).
     pub fn entries_by_owner(&self, num_owners: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_owners];
-        // netrel-lint: allow(hash-iteration, reason = "commutative count fold — the tally is identical in any iteration order")
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "commutative count fold — the tally is identical in any iteration order"
+        )]
         for entry in self.map.values() {
             if let Some(c) = counts.get_mut(entry.owner) {
                 *c += 1;
@@ -251,7 +241,10 @@ impl PlanCache {
     /// key without those probability bits provably does not contain it.
     pub fn invalidate_prob(&mut self, owner: usize, prob_bits: u64) -> usize {
         let before = self.map.len();
-        // netrel-lint: allow(hash-iteration, reason = "retain with a per-entry predicate drops the same set in any iteration order")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a per-entry predicate drops the same set in any iteration order"
+        )]
         self.map.retain(|key, entry| {
             entry.owner != owner || key.edges.iter().all(|&(_, _, pb)| pb != prob_bits)
         });
@@ -278,6 +271,15 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netrel_bdd::frontier::MergeRule;
+    use netrel_s2bdd::{EstimatorKind, S2BddConfig};
+    use netrel_ugraph::ordering::EdgeOrder;
+    use netrel_ugraph::{UncertainGraph, VertexId};
+
+    /// The key of a connectivity part solved by `solver`.
+    fn conn_key(g: &UncertainGraph, t: &[VertexId], solver: PartSolver) -> PlanKey {
+        PlanKey::for_part(&SemPart::connectivity(g.clone(), t.to_vec()), solver)
+    }
 
     fn part(tag: u64) -> (UncertainGraph, Vec<VertexId>) {
         // Distinct graphs per tag: a 2-path with a tag-dependent probability.
@@ -288,7 +290,7 @@ mod tests {
 
     fn key(tag: u64, cfg: S2BddConfig) -> PlanKey {
         let (g, t) = part(tag);
-        PlanKey::new(&g, &t, cfg)
+        conn_key(&g, &t, PartSolver::S2Bdd(cfg))
     }
 
     fn result(x: f64) -> S2BddResult {
@@ -361,33 +363,63 @@ mod tests {
     #[test]
     fn config_change_never_aliases() {
         let base = S2BddConfig::default();
+        // No `..`: a new config field fails to compile here until a variant
+        // below shows that changing it changes the key.
+        let S2BddConfig {
+            max_width,
+            samples,
+            estimator,
+            order,
+            merge_rule,
+            seed,
+            reduce_samples,
+            node_cap,
+            record_trajectory,
+        } = base;
         let variants = [
             S2BddConfig {
-                max_width: base.max_width + 1,
+                max_width: max_width + 1,
                 ..base
             },
             S2BddConfig {
-                samples: base.samples + 1,
+                samples: samples + 1,
                 ..base
             },
             S2BddConfig {
-                seed: base.seed ^ 1,
+                estimator: match estimator {
+                    EstimatorKind::MonteCarlo => EstimatorKind::HorvitzThompson,
+                    EstimatorKind::HorvitzThompson => EstimatorKind::MonteCarlo,
+                },
                 ..base
             },
             S2BddConfig {
-                estimator: netrel_s2bdd::EstimatorKind::HorvitzThompson,
+                order: match order {
+                    EdgeOrder::Bfs => EdgeOrder::Degeneracy,
+                    EdgeOrder::Input | EdgeOrder::Dfs | EdgeOrder::Degeneracy => EdgeOrder::Bfs,
+                },
                 ..base
             },
             S2BddConfig {
-                reduce_samples: !base.reduce_samples,
+                merge_rule: match merge_rule {
+                    MergeRule::Pattern => MergeRule::ExactCounts,
+                    MergeRule::ExactCounts => MergeRule::Pattern,
+                },
                 ..base
             },
             S2BddConfig {
-                node_cap: base.node_cap - 1,
+                seed: seed ^ 1,
                 ..base
             },
             S2BddConfig {
-                record_trajectory: !base.record_trajectory,
+                reduce_samples: !reduce_samples,
+                ..base
+            },
+            S2BddConfig {
+                node_cap: node_cap - 1,
+                ..base
+            },
+            S2BddConfig {
+                record_trajectory: !record_trajectory,
                 ..base
             },
         ];
@@ -409,8 +441,8 @@ mod tests {
         // on the same part, even with matching samples/estimator/seed.
         let (g, t) = part(1);
         let cfg = S2BddConfig::default();
-        let s2bdd_key = PlanKey::new(&g, &t, cfg);
-        let sampling_key = PlanKey::for_solver(
+        let s2bdd_key = conn_key(&g, &t, PartSolver::S2Bdd(cfg));
+        let sampling_key = conn_key(
             &g,
             &t,
             PartSolver::Sampling {
@@ -432,7 +464,7 @@ mod tests {
         // never serve — or be served by — any other family on the same part.
         let (g, t) = part(1);
         let cfg = S2BddConfig::default();
-        let bit_key = PlanKey::for_solver(
+        let bit_key = conn_key(
             &g,
             &t,
             PartSolver::BitSampling {
@@ -440,7 +472,7 @@ mod tests {
                 seed: cfg.seed,
             },
         );
-        let flat_key = PlanKey::for_solver(
+        let flat_key = conn_key(
             &g,
             &t,
             PartSolver::Sampling {
@@ -449,8 +481,8 @@ mod tests {
                 seed: cfg.seed,
             },
         );
-        let enum_key = PlanKey::for_solver(&g, &t, PartSolver::Enumeration);
-        let s2bdd_key = PlanKey::new(&g, &t, cfg);
+        let enum_key = conn_key(&g, &t, PartSolver::Enumeration);
+        let s2bdd_key = conn_key(&g, &t, PartSolver::S2Bdd(cfg));
         assert_ne!(bit_key, flat_key);
         assert_ne!(bit_key, enum_key);
         assert_ne!(bit_key, s2bdd_key);
@@ -461,7 +493,7 @@ mod tests {
         assert!(c.get(&s2bdd_key).is_none(), "s2bdd aliased packed");
         assert!(c.get(&bit_key).is_some());
         // Different packed sample budgets and seeds are distinct entries.
-        let other = PlanKey::for_solver(
+        let other = conn_key(
             &g,
             &t,
             PartSolver::BitSampling {
@@ -469,7 +501,7 @@ mod tests {
                 seed: cfg.seed,
             },
         );
-        let reseeded = PlanKey::for_solver(
+        let reseeded = conn_key(
             &g,
             &t,
             PartSolver::BitSampling {
@@ -488,7 +520,7 @@ mod tests {
         let (g, t) = part(1);
         let cfg = S2BddConfig::default();
         let solver = PartSolver::S2Bdd(cfg);
-        let connectivity = PlanKey::new(&g, &t, cfg);
+        let connectivity = conn_key(&g, &t, solver);
         let as_part = PlanKey::for_part(
             &SemPart {
                 graph: g.clone(),
@@ -570,12 +602,12 @@ mod tests {
     #[test]
     fn terminal_set_is_part_of_the_key() {
         let g = UncertainGraph::new(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)]).unwrap();
-        let cfg = S2BddConfig::default();
-        let a = PlanKey::new(&g, &[0, 3], cfg);
-        let b = PlanKey::new(&g, &[0, 2], cfg);
+        let solver = PartSolver::S2Bdd(S2BddConfig::default());
+        let a = conn_key(&g, &[0, 3], solver);
+        let b = conn_key(&g, &[0, 2], solver);
         assert_ne!(a, b);
         // Terminal order is canonicalized.
-        assert_eq!(a, PlanKey::new(&g, &[3, 0], cfg));
+        assert_eq!(a, conn_key(&g, &[3, 0], solver));
     }
 
     #[test]

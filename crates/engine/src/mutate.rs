@@ -39,6 +39,10 @@
 //!   what-if path shares the engine's structurally-keyed plan cache,
 //!   overlapping candidate evaluations reuse each other's part solves.
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::{Engine, EngineError, GraphId, PlanBudget, PlannedQuery, ReliabilityAnswer};
 use netrel_core::{ProConfig, SemanticsSpec};
 use netrel_preprocess::{

@@ -50,6 +50,10 @@
 //! assert_eq!((a.ci.lower, a.ci.upper), (a.estimate, a.estimate));
 //! ```
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use netrel_core::{part_s2bdd_config, PartComputation, SemPart};
 use netrel_numeric::ConfidenceLevel;
 use netrel_s2bdd::{EstimatorKind, S2BddConfig};

@@ -75,6 +75,21 @@
 //! payload. A `batch` response holds one `{ok, answer|error}` object per
 //! query in request order, so one bad query cannot poison a batch.
 
+// Request path (docs/lints.md): a hostile request line gets a protocol
+// error, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    clippy::disallowed_macros,
+    clippy::disallowed_types
+)]
+
 use crate::{
     Engine, EngineError, IndexPatch, Mutation, MutationOutcome, PlanBudget, PlannedQuery, Policy,
     Recorder, ReliabilityAnswer,
@@ -699,6 +714,10 @@ fn parse_query(item: &Value, defaults: &Value) -> Result<PlannedQuery, String> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "assertions are how a test fails; the request path itself stays assertion-free"
+)]
 mod tests {
     use super::*;
 

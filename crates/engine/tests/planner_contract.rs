@@ -238,3 +238,78 @@ fn mixed_batch_routes_per_part() {
     assert!(!b.exact);
     assert!(b.routes.contains(&Route::BitSampling));
 }
+
+#[test]
+fn every_budget_field_changes_the_answer() {
+    use netrel_numeric::ConfidenceLevel;
+
+    // A 4×8 grid: too many predicted nodes for a 100-node budget, narrow
+    // enough for the bounded route, so the sample budget is spent.
+    let (w, l) = (4usize, 8usize);
+    let id = |x: usize, y: usize| y * w + x;
+    let mut edges = Vec::new();
+    for y in 0..l {
+        for x in 0..w {
+            if x + 1 < w {
+                edges.push((id(x, y), id(x + 1, y), 0.7));
+            }
+            if y + 1 < l {
+                edges.push((id(x, y), id(x, y + 1), 0.6));
+            }
+        }
+    }
+    let g = UncertainGraph::new(w * l, edges).unwrap();
+    let answer = |budget: PlanBudget| {
+        let mut engine = Engine::new(EngineConfig::sequential());
+        let gid = engine.register("grid4x8", g.clone());
+        engine
+            .run_planned(gid, &PlannedQuery::new(vec![0, w * l - 1], budget))
+            .unwrap()
+    };
+
+    let base = PlanBudget {
+        node_budget: 100,
+        ..PlanBudget::default()
+    };
+    // No `..`: a new budget field fails to compile here until this test
+    // shows that changing it changes the answer.
+    let PlanBudget {
+        node_budget,
+        sample_budget,
+        time_hint_ms,
+        confidence,
+    } = base;
+    let a = answer(base);
+    assert_eq!(a.routes, [Route::Bounded]);
+    assert!(a.samples_used > 0);
+
+    let roomy = answer(PlanBudget {
+        node_budget: node_budget * 1_000_000,
+        ..base
+    });
+    assert_ne!(roomy.routes, a.routes, "node_budget");
+
+    let fewer = answer(PlanBudget {
+        sample_budget: sample_budget / 4,
+        ..base
+    });
+    assert_ne!(fewer.samples_used, a.samples_used, "sample_budget");
+
+    assert_eq!(time_hint_ms, None);
+    let hinted = answer(PlanBudget {
+        time_hint_ms: Some(1),
+        ..base
+    });
+    assert_ne!(hinted.samples_used, a.samples_used, "time_hint_ms");
+
+    let other_level = match confidence {
+        ConfidenceLevel::P90 | ConfidenceLevel::P95 => ConfidenceLevel::P99,
+        ConfidenceLevel::P99 => ConfidenceLevel::P90,
+    };
+    let leveled = answer(PlanBudget {
+        confidence: other_level,
+        ..base
+    });
+    assert_eq!(a.ci.level, confidence);
+    assert_eq!(leveled.ci.level, other_level, "confidence");
+}

@@ -14,6 +14,9 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 pub mod fxhash;
 pub mod kahan;

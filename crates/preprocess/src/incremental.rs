@@ -25,6 +25,10 @@
 //!   forest is a tree, so every path from a bridge-attached subtree into
 //!   `C` runs through its attachment vertex.
 
+// Answer-affecting region (docs/lints.md): no clock reads, thread-count
+// probes or hash-order iteration.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
+
 use crate::shared::GraphIndex;
 use netrel_ugraph::bridges::cut_structure;
 use netrel_ugraph::{EdgeId, UncertainGraph, VertexId};

@@ -38,9 +38,10 @@ pub fn transform(g: &UncertainGraph, terminals: &[VertexId], prune_dangling: boo
     loop {
         let mut changed = false;
 
-        // Indexed iteration is deliberate: the body mutates `mg`'s edge set
-        // while walking its (fixed-count) vertices.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the body mutates `mg`'s edge set while walking its fixed-count vertices"
+        )]
         for v in 0..mg.num_vertices() {
             // Loop rule: delete self-loops at v.
             let incident = mg.incident(v);

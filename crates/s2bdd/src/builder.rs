@@ -281,7 +281,10 @@ impl S2Bdd {
 /// `pool` with masses `pns`, aligned with the machine's next frontier —
 /// recording them into `st`. Node choice is probability-proportional
 /// (multinomial), which keeps the stratum estimator unbiased.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a stratum draw reads both call sites' pool, machine and sampler state; a bundling struct would only rename them"
+)]
 fn sample_pool(
     pool: &LayerArena,
     pns: &[WideFloat],
