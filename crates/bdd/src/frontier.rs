@@ -30,10 +30,6 @@
 //! successor straight into the arena's pending row, reading only per-layer
 //! slot maps that [`FrontierMachine::advance`] computes once per layer.
 
-// Answer-affecting region (docs/lints.md): no clock reads, thread-count
-// probes or hash-order iteration.
-#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
-
 use netrel_numeric::fxhash::FxHasher;
 use netrel_ugraph::ordering::{EdgeOrder, FrontierPlan};
 use netrel_ugraph::{EdgeId, GraphError, UncertainGraph, VertexId};
@@ -306,12 +302,6 @@ impl FrontierMachine {
     #[inline]
     pub fn next_future_degrees(&self) -> &[u32] {
         &self.next_fdeg
-    }
-
-    /// Number of terminals not yet touched after the current layer.
-    #[inline]
-    pub fn unseen_after_current(&self) -> usize {
-        self.unseen_after[self.layer]
     }
 
     /// Move the cursor to the next layer.

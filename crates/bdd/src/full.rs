@@ -6,10 +6,6 @@
 //! why the paper reports DNF for this baseline on all large datasets
 //! (Figure 3); the `node_limit` makes that failure mode explicit and safe.
 
-// Answer-affecting region (docs/lints.md): no clock reads, thread-count
-// probes or hash-order iteration.
-#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
-
 use crate::frontier::{FrontierMachine, LayerArena, Lookup, MergeRule, Scratch, Transition};
 use netrel_numeric::NeumaierSum;
 use netrel_ugraph::ordering::EdgeOrder;

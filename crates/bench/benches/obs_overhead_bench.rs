@@ -4,11 +4,13 @@
 //!
 //! Not a criterion bench: the assertion needs a deterministic pass/fail
 //! exit, so this is a custom harness that interleaves `Recorder::noop()`
-//! and `Recorder::enabled()` rounds (interleaving cancels thermal and
-//! frequency drift) and compares min-of-rounds, the low-noise statistic.
-//! The gate only trips when `OBS_OVERHEAD_GATE=1` (set by CI); without it
-//! the numbers are informational, so local runs on noisy machines never
-//! spuriously fail.
+//! and `Recorder::enabled()` rounds and gates on the median of the
+//! per-round paired ratios `instrumented / baseline`. Pairing cancels drift
+//! slower than one round pair, and the median ignores up to seven disturbed
+//! pairs. The min-of-rounds figure is printed for information only: its
+//! two minima come from different rounds, so host drift between them is
+//! not cancelled. The gate only trips when `OBS_OVERHEAD_GATE=1` (set by
+//! CI); without it the numbers are informational.
 //!
 //! Answers are additionally asserted bit-identical across the two engines —
 //! the overhead gate doubles as an end-to-end invariance check.
@@ -18,8 +20,10 @@ use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Recorder};
 use netrel_ugraph::UncertainGraph;
 use std::time::Instant;
 
-const ROUNDS: usize = 7;
+const ROUNDS: usize = 15;
 const BATCHES_PER_ROUND: usize = 30;
+/// The gate: the median paired ratio may exceed 1 by at most 5%.
+const MAX_RATIO: f64 = 1.05;
 
 /// The planner-throughput workload shape: a sparse graph with overlapping
 /// two-terminal queries, exact routes, warm cache after the first batch —
@@ -72,6 +76,7 @@ fn main() {
     // Warmup round (not recorded) to fault in code and allocator state.
     let (_, warm_bits) = round(Recorder::noop(), &queries);
 
+    let mut ratios = Vec::with_capacity(ROUNDS);
     let mut base_min = f64::INFINITY;
     let mut inst_min = f64::INFINITY;
     for _ in 0..ROUNDS {
@@ -79,27 +84,26 @@ fn main() {
         let (inst_secs, inst_bits) = round(Recorder::enabled(), &queries);
         assert_eq!(base_bits, warm_bits, "uninstrumented answers drifted");
         assert_eq!(inst_bits, warm_bits, "instrumentation changed answers");
+        ratios.push(inst_secs / base_secs);
         base_min = base_min.min(base_secs);
         inst_min = inst_min.min(inst_secs);
     }
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ROUNDS / 2];
 
-    let overhead = inst_min / base_min - 1.0;
     println!(
-        "obs overhead: baseline {:.3}ms, instrumented {:.3}ms, overhead {:+.2}%",
+        "obs overhead: median paired {:+.2}% over {ROUNDS} rounds \
+         (min-of-rounds: baseline {:.3}ms, instrumented {:.3}ms, {:+.2}%)",
+        (median - 1.0) * 100.0,
         base_min * 1e3,
         inst_min * 1e3,
-        overhead * 100.0
+        (inst_min / base_min - 1.0) * 100.0
     );
 
-    // ±5% contract plus a 2ms absolute floor so micro-runs on loaded
-    // machines cannot trip on scheduler noise alone.
-    let limit = base_min * 1.05 + 2e-3;
-    if inst_min > limit {
+    if median > MAX_RATIO {
         let message = format!(
-            "instrumented hot path too slow: {:.3}ms > {:.3}ms (baseline {:.3}ms + 5% + 2ms)",
-            inst_min * 1e3,
-            limit * 1e3,
-            base_min * 1e3
+            "instrumented hot path too slow: median paired overhead {:+.2}% > +5%",
+            (median - 1.0) * 100.0
         );
         if std::env::var("OBS_OVERHEAD_GATE").as_deref() == Ok("1") {
             panic!("{message}");

@@ -345,7 +345,7 @@ pub fn packed_reach_from(csr: &CsrAdjacency, masks: &[u64], source: VertexId) ->
 /// is 1 iff world `j` contains a `source`–`v` path of at most `d` edges.
 /// Level-synchronous — each of the `d` rounds advances every lane's
 /// frontier by exactly one hop, mirroring the scalar
-/// [`HopSampler`](netrel_ugraph::HopSampler) BFS.
+/// [`HopBfs`](netrel_ugraph::HopBfs).
 pub fn packed_reach_within(
     csr: &CsrAdjacency,
     masks: &[u64],

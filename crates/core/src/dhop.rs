@@ -18,7 +18,7 @@
 use crate::sampling::{estimate_indicator, sampled_part_result, SamplingConfig, SamplingResult};
 use crate::semantics::SemPart;
 use netrel_s2bdd::S2BddResult;
-use netrel_ugraph::{GraphError, HopSampler, UncertainGraph, VertexId};
+use netrel_ugraph::{GraphError, HopBfs, HopSampler, UncertainGraph, VertexId};
 
 /// Largest edge count for which d-hop parts are solved by exact recursive
 /// conditioning; beyond it the deterministic route falls back to hop-bounded
@@ -34,78 +34,6 @@ enum EdgeState {
     Undecided,
 }
 
-/// Epoch-versioned layered-BFS workspace reused across the whole
-/// conditioning recursion, so a bound check costs `O(|E|)` with no
-/// per-call allocation or reset.
-struct HopBfs {
-    visited: Vec<u32>,
-    epoch: u32,
-    frontier: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl HopBfs {
-    fn new(n: usize) -> Self {
-        HopBfs {
-            visited: vec![0; n],
-            epoch: 0,
-            frontier: Vec::new(),
-            next: Vec::new(),
-        }
-    }
-
-    /// Whether `t` is reachable from `s` within `d` hops over the edges
-    /// admitted by `states`: `Present` always counts, `Undecided` only in
-    /// the optimistic direction. Pessimistic (`optimistic = false`) proves
-    /// the indicator 1; a failed optimistic pass proves it 0.
-    fn reaches(
-        &mut self,
-        g: &UncertainGraph,
-        states: &[EdgeState],
-        s: VertexId,
-        t: VertexId,
-        d: u32,
-        optimistic: bool,
-    ) -> bool {
-        if s == t {
-            return true;
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.epoch = 1;
-        }
-        self.visited[s] = self.epoch;
-        self.frontier.clear();
-        self.frontier.push(s as u32);
-        for _ in 0..d {
-            self.next.clear();
-            for fi in 0..self.frontier.len() {
-                let v = self.frontier[fi] as usize;
-                for &(w, e) in g.neighbors(v) {
-                    let admitted = match states[e] {
-                        EdgeState::Present => true,
-                        EdgeState::Undecided => optimistic,
-                        EdgeState::Absent => false,
-                    };
-                    if admitted && self.visited[w] != self.epoch {
-                        if w == t {
-                            return true;
-                        }
-                        self.visited[w] = self.epoch;
-                        self.next.push(w as u32);
-                    }
-                }
-            }
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            if self.frontier.is_empty() {
-                return false;
-            }
-        }
-        false
-    }
-}
-
 fn condition(
     g: &UncertainGraph,
     s: VertexId,
@@ -115,10 +43,13 @@ fn condition(
     from: usize,
     bfs: &mut HopBfs,
 ) -> f64 {
-    if bfs.reaches(g, states, s, t, d, false) {
+    // The pessimistic pass (decided-present edges only) proves the
+    // indicator 1; a failed optimistic pass (every edge not yet absent)
+    // proves it 0.
+    if bfs.reaches(g, s, t, d, |e| states[e] == EdgeState::Present) {
         return 1.0;
     }
-    if !bfs.reaches(g, states, s, t, d, true) {
+    if !bfs.reaches(g, s, t, d, |e| states[e] != EdgeState::Absent) {
         return 0.0;
     }
     // Neither bound closed, so at least one edge is still undecided: a fully
@@ -230,7 +161,6 @@ pub fn dhop_exact_part(part: &SemPart, d: u32) -> Result<S2BddResult, GraphError
         early_exit: false,
         node_cap_hit: false,
         nodes_created: 0,
-        trajectory: None,
     })
 }
 

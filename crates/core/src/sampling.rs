@@ -286,7 +286,6 @@ pub(crate) fn sampled_part_result(
         early_exit: false,
         node_cap_hit: false,
         nodes_created: 0,
-        trajectory: None,
     }
 }
 

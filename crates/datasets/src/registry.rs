@@ -64,9 +64,6 @@ impl Dataset {
         Dataset::HitD,
     ];
 
-    /// The two small datasets (accuracy experiments, Tables 3–4).
-    pub const SMALL: [Dataset; 2] = [Dataset::Karate, Dataset::AmRv];
-
     /// Paper-reported statistics.
     pub fn spec(self) -> DatasetSpec {
         match self {

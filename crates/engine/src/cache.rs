@@ -312,7 +312,6 @@ mod tests {
             early_exit: false,
             node_cap_hit: false,
             nodes_created: 0,
-            trajectory: None,
         }
     }
 
@@ -374,7 +373,6 @@ mod tests {
             seed,
             reduce_samples,
             node_cap,
-            record_trajectory,
         } = base;
         let variants = [
             S2BddConfig {
@@ -416,10 +414,6 @@ mod tests {
             },
             S2BddConfig {
                 node_cap: node_cap - 1,
-                ..base
-            },
-            S2BddConfig {
-                record_trajectory: !record_trajectory,
                 ..base
             },
         ];

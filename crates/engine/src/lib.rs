@@ -83,7 +83,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use mutate::{MaximizeResult, MaximizeStep, Mutation, MutationOutcome, MutationRecord};
+pub use mutate::{MaximizeResult, MaximizeStep, Mutation, MutationOutcome};
 pub use netrel_obs::{MetricsSnapshot, QueryTrace, Recorder};
 pub use netrel_preprocess::IndexPatch;
 pub use planner::{plan_part, CostEstimate, PartPlan, PartSolver, PlanBudget, Route};
@@ -361,8 +361,6 @@ struct RegisteredGraph {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_inserts: AtomicU64,
-    /// Committed mutations in application order (see [`mutate`]).
-    journal: Vec<mutate::MutationRecord>,
 }
 
 /// Per-graph registration and cache telemetry, serializable for the
@@ -509,7 +507,6 @@ impl Engine {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_inserts: AtomicU64::new(0),
-            journal: Vec::new(),
         });
         GraphId(id)
     }
@@ -522,11 +519,6 @@ impl Engine {
     /// The registered graph behind an id.
     pub fn graph(&self, id: GraphId) -> Option<&UncertainGraph> {
         self.graphs.get(id.0).map(|r| &r.graph)
-    }
-
-    /// Number of registered graphs.
-    pub fn num_graphs(&self) -> usize {
-        self.graphs.len()
     }
 
     /// Answer one query (a one-element batch of

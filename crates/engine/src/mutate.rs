@@ -96,15 +96,6 @@ pub struct MutationOutcome {
     pub invalidated_worlds: usize,
 }
 
-/// A committed mutation plus its outcome — one journal line.
-#[derive(Clone, Copy, Debug)]
-pub struct MutationRecord {
-    /// The mutation as requested.
-    pub mutation: Mutation,
-    /// What it did.
-    pub outcome: MutationOutcome,
-}
-
 /// One greedy round of [`Engine::maximize_reliability`].
 #[derive(Clone, Copy, Debug)]
 pub struct MaximizeStep {
@@ -203,10 +194,9 @@ impl Engine {
 
     /// Commit one [`Mutation`] to a registered graph: apply the graph
     /// primitive, incrementally patch (or rebuild) the index, run the
-    /// scoped cache/world-bank invalidation, record metrics, and append a
-    /// [`MutationRecord`] to the graph's journal. A rejected mutation
-    /// (bad edge id, duplicate edge, invalid probability, …) changes
-    /// nothing.
+    /// scoped cache/world-bank invalidation, and record metrics. A rejected
+    /// mutation (bad edge id, duplicate edge, invalid probability, …)
+    /// changes nothing.
     pub fn apply_mutation(
         &mut self,
         id: GraphId,
@@ -276,22 +266,12 @@ impl Engine {
             m.invalidated_worlds.add(invalidated_worlds as u64);
         }
 
-        let outcome = MutationOutcome {
+        Ok(MutationOutcome {
             edge,
             patch,
             invalidated_plans,
             invalidated_worlds,
-        };
-        self.graphs[owner]
-            .journal
-            .push(MutationRecord { mutation, outcome });
-        Ok(outcome)
-    }
-
-    /// The committed mutations of a registered graph, in application
-    /// order.
-    pub fn mutation_journal(&self, id: GraphId) -> Result<&[MutationRecord], EngineError> {
-        Ok(&self.registered(id)?.journal)
+        })
     }
 
     /// Answer a query against a **hypothetical** mutation set, committing
@@ -415,24 +395,24 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_every_committed_mutation_in_order() {
+    fn committed_mutations_report_their_edges_and_apply_in_order() {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("g", chorded_cycle());
-        engine.update_edge_prob(id, 0, 0.5).unwrap();
-        let added = engine.add_edge(id, 1, 3, 0.4).unwrap();
-        assert_eq!(added.edge, 5);
-        engine.remove_edge(id, 1).unwrap();
-        let journal = engine.mutation_journal(id).unwrap();
-        assert_eq!(journal.len(), 3);
-        assert_eq!(
-            journal[0].mutation,
-            Mutation::UpdateProb { edge: 0, p: 0.5 }
-        );
-        assert_eq!(
-            journal[1].mutation,
-            Mutation::AddEdge { u: 1, v: 3, p: 0.4 }
-        );
-        assert_eq!(journal[2].mutation, Mutation::RemoveEdge { edge: 1 });
+        assert_eq!(engine.update_edge_prob(id, 0, 0.5).unwrap().edge, 0);
+        assert_eq!(engine.add_edge(id, 1, 3, 0.4).unwrap().edge, 5);
+        assert_eq!(engine.remove_edge(id, 1).unwrap().edge, 1);
+        let expected = UncertainGraph::new(
+            4,
+            vec![
+                (0, 1, 0.5),
+                (2, 3, 0.9),
+                (3, 0, 0.7),
+                (0, 2, 0.6),
+                (1, 3, 0.4),
+            ],
+        )
+        .unwrap();
+        assert_eq!(engine.graph(id).unwrap().edges(), expected.edges());
     }
 
     #[test]
@@ -448,8 +428,7 @@ mod tests {
         ] {
             assert!(engine.apply_mutation(id, bad).is_err(), "{bad:?}");
         }
-        assert!(engine.mutation_journal(id).unwrap().is_empty());
-        assert_eq!(engine.registered(id).unwrap().graph.num_edges(), 5);
+        assert_eq!(engine.graph(id).unwrap().edges(), chorded_cycle().edges());
     }
 
     #[test]
@@ -489,12 +468,12 @@ mod tests {
         );
         let bad = [Mutation::RemoveEdge { edge: 99 }];
         assert!(engine.evaluate_with(id, &bad, &q).is_err());
-        assert!(engine.mutation_journal(id).unwrap().is_empty());
+        assert_eq!(engine.graph(id).unwrap().edges(), chorded_cycle().edges());
         // An applicable hypothesis answers without committing.
         let hyp = [Mutation::UpdateProb { edge: 0, p: 0.1 }];
         let answer = engine.evaluate_with(id, &hyp, &q).unwrap();
         assert!((0.0..=1.0).contains(&answer.estimate));
-        assert!(engine.mutation_journal(id).unwrap().is_empty());
+        assert_eq!(engine.graph(id).unwrap().edges(), chorded_cycle().edges());
     }
 
     #[test]

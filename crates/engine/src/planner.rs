@@ -365,7 +365,7 @@ pub fn estimate_part(
 /// ([`estimate_dhop_part`]).
 ///
 /// `base` supplies the knobs the planner does not decide (estimator, edge
-/// order, merge rule, seed, trajectory recording); width, samples, and node
+/// order, merge rule, seed); width, samples, and node
 /// cap are overridden per route. `part_index` feeds the same seed
 /// derivation `pro_reliability` uses, so exact-routed parts are
 /// bit-interchangeable with one-shot solves.

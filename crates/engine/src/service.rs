@@ -752,6 +752,81 @@ mod tests {
     }
 
     #[test]
+    fn answer_objects_carry_exactly_the_documented_keys() {
+        // The key lists of docs/protocol.md's "Answer shapes", in wire order.
+        fn keys(v: &Value) -> Vec<&str> {
+            match v {
+                Value::Map(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+                other => panic!("not an object: {other:?}"),
+            }
+        }
+        let mut s = service_with_graph();
+        let v =
+            parse(&s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2],"samples":50}"#));
+        let answer = v.get("answer").expect("answer present");
+        assert_eq!(
+            keys(answer),
+            [
+                "semantics",
+                "estimate",
+                "lower_bound",
+                "upper_bound",
+                "exact",
+                "ci",
+                "pb",
+                "samples_used",
+                "variance_estimate",
+                "preprocess_stats",
+                "parts",
+                "routes",
+                "cache_hits",
+                "cache_misses",
+                "trace",
+            ]
+        );
+        let stats = answer.get("preprocess_stats").expect("stats present");
+        assert_eq!(
+            keys(stats),
+            [
+                "original_edges",
+                "pruned_edges",
+                "num_parts",
+                "max_part_edges",
+                "reduced_ratio",
+                "transform_rules",
+            ]
+        );
+        let parts = match answer.get("parts") {
+            Some(Value::Seq(parts)) if !parts.is_empty() => parts,
+            other => panic!("parts missing: {other:?}"),
+        };
+        for part in parts {
+            assert_eq!(
+                keys(part),
+                [
+                    "estimate",
+                    "lower_bound",
+                    "upper_bound",
+                    "exact",
+                    "samples_requested",
+                    "samples_used",
+                    "s_prime_final",
+                    "strata",
+                    "deleted_nodes",
+                    "variance_estimate",
+                    "peak_width",
+                    "peak_memory_bytes",
+                    "layers_completed",
+                    "layers_total",
+                    "early_exit",
+                    "node_cap_hit",
+                    "nodes_created",
+                ]
+            );
+        }
+    }
+
+    #[test]
     fn batch_preserves_order_and_isolates_errors() {
         let mut s = service_with_graph();
         let response = s.handle_line(

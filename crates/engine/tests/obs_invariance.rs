@@ -270,14 +270,6 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
     assert_eq!(m.mutations_remove_edge, 1);
     assert_eq!(m.index_patched + m.index_rebuilt, 3);
     assert_eq!(m.whatif_queries, 1);
-    // Journals agree too: instrumentation must not change bookkeeping.
-    let a = plain.mutation_journal(pid).unwrap();
-    let b = inst.mutation_journal(iid).unwrap();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.mutation, y.mutation);
-        assert_eq!(x.outcome.patch, y.outcome.patch);
-    }
 }
 
 #[test]

@@ -8,9 +8,8 @@
 //! `i64` binary exponent: ~16 significant digits over a range of `2^±(2^63)`,
 //! which dominates sampling error by many orders of magnitude.
 //!
-//! The crate also provides compensated summation ([`NeumaierSum`]), online
-//! moment tracking ([`OnlineStats`]), log-space helpers, and the accuracy
-//! metrics used by the paper's evaluation ([`stats::accuracy`]).
+//! The crate also provides compensated summation ([`NeumaierSum`]) and the
+//! accuracy metrics used by the paper's evaluation ([`stats::accuracy`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -20,7 +19,6 @@
 
 pub mod fxhash;
 pub mod kahan;
-pub mod logspace;
 pub mod stats;
 pub mod widefloat;
 
@@ -28,6 +26,5 @@ pub use fxhash::FxBuildHasher;
 pub use kahan::NeumaierSum;
 pub use stats::{
     accuracy, histogram_quantile, normal_ci, AccuracyReport, ConfidenceInterval, ConfidenceLevel,
-    OnlineStats,
 };
 pub use widefloat::WideFloat;

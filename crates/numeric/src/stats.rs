@@ -1,4 +1,4 @@
-//! Online statistics, confidence intervals, and the paper's accuracy
+//! Confidence intervals, histogram quantiles, and the paper's accuracy
 //! metrics.
 
 use crate::kahan::NeumaierSum;
@@ -121,116 +121,6 @@ pub fn normal_ci(estimate: f64, variance: f64, level: ConfidenceLevel) -> Confid
     }
 }
 
-/// Welford online mean/variance accumulator.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (`0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (`Σ(x-μ)²/n`; `0` when empty).
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample variance (`Σ(x-μ)²/(n-1)`; `0` when `n < 2`).
-    pub fn variance_sample(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance_population().sqrt()
-    }
-
-    /// Minimum observation (`+inf` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`-inf` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl std::iter::FromIterator<f64> for OnlineStats {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut s = OnlineStats::new();
-        for x in iter {
-            s.push(x);
-        }
-        s
-    }
-}
-
 /// Accuracy metrics over repeated searches, as defined in the paper's §7.6.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccuracyReport {
@@ -350,54 +240,6 @@ mod tests {
         );
         // Everything in +Inf: best lower bound is the last finite edge.
         assert!(close(histogram_quantile(&edges, &[0, 0, 5], 0.5), 2.0));
-    }
-
-    #[test]
-    fn online_stats_basic() {
-        let s: OnlineStats = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
-        assert_eq!(s.count(), 8);
-        assert!(close(s.mean(), 5.0));
-        assert!(close(s.variance_population(), 4.0));
-        assert!(close(s.stddev(), 2.0));
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty_and_single() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance_population(), 0.0);
-        assert_eq!(s.variance_sample(), 0.0);
-        let mut s = OnlineStats::new();
-        s.push(3.0);
-        assert!(close(s.mean(), 3.0));
-        assert_eq!(s.variance_sample(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        let seq: OnlineStats = xs.iter().copied().collect();
-        let mut a: OnlineStats = xs[..37].iter().copied().collect();
-        let b: OnlineStats = xs[37..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!(close(a.mean(), seq.mean()));
-        assert!(close(a.variance_population(), seq.variance_population()));
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = OnlineStats::new();
-        let b: OnlineStats = [1.0, 2.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        let mut c: OnlineStats = [1.0, 2.0].into_iter().collect();
-        c.merge(&OnlineStats::new());
-        assert_eq!(c.count(), 2);
     }
 
     #[test]

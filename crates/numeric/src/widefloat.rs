@@ -120,12 +120,6 @@ impl WideFloat {
         self.m == 0.0
     }
 
-    /// `true` iff the value is `> 0`.
-    #[inline]
-    pub fn is_positive(self) -> bool {
-        self.m > 0.0
-    }
-
     /// Natural logarithm; `-inf` for zero. Panics in debug mode on negatives.
     #[inline]
     pub fn ln(self) -> f64 {
@@ -158,18 +152,6 @@ impl WideFloat {
     #[inline]
     pub fn mul_f64(self, x: f64) -> Self {
         self * WideFloat::from_f64(x)
-    }
-
-    /// The ratio `self / (self + other)` as `f64`, defined as `0` when both
-    /// are zero. Both operands must be non-negative. Useful for proportional
-    /// allocation without leaving the wide domain.
-    pub fn fraction_of_sum(self, other: WideFloat) -> f64 {
-        debug_assert!(self.m >= 0.0 && other.m >= 0.0);
-        let total = self + other;
-        if total.is_zero() {
-            return 0.0;
-        }
-        (self / total).to_f64()
     }
 }
 
@@ -465,18 +447,6 @@ mod tests {
             assert!(close(w.ln(), lnx, 1e-12), "{} vs {}", w.ln(), lnx);
         }
         assert!(WideFloat::exp(f64::NEG_INFINITY).is_zero());
-    }
-
-    #[test]
-    fn fraction_of_sum_basics() {
-        let a = WideFloat::from_f64(1.0);
-        let b = WideFloat::from_f64(3.0);
-        assert!(close(a.fraction_of_sum(b), 0.25, 1e-15));
-        assert_eq!(WideFloat::ZERO.fraction_of_sum(WideFloat::ZERO), 0.0);
-        // Works far below f64 range.
-        let t1 = WideFloat::new(0.5, -5000);
-        let t2 = WideFloat::new(0.5, -5000);
-        assert!(close(t1.fraction_of_sum(t2), 0.5, 1e-15));
     }
 
     #[test]

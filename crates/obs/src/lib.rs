@@ -42,8 +42,6 @@ pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{
-    Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, Recorder, RouteCountsSnapshot,
-};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, Recorder};
 pub use report::{BenchReport, BenchRow, CacheCounts, DiffViolation, RouteCounts};
 pub use trace::{QueryTrace, SpanGuard, TraceBuilder, TraceSpan};

@@ -8,6 +8,7 @@
 //! renders the standard `_bucket{le=…}` / `_sum` / `_count` triple per
 //! histogram.
 
+use crate::report::RouteCounts;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -364,7 +365,7 @@ impl Metrics {
             invalidated_plans: self.invalidated_plans.get(),
             invalidated_worlds: self.invalidated_worlds.get(),
             whatif_queries: self.whatif_queries.get(),
-            routes: RouteCountsSnapshot {
+            routes: RouteCounts {
                 exact: self.route_exact.get(),
                 bounded: self.route_bounded.get(),
                 sampling: self.route_sampling.get(),
@@ -402,21 +403,6 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics::new()
     }
-}
-
-/// Planner route decisions, frozen.
-#[derive(Clone, Copy, Debug, Default, serde::Serialize)]
-pub struct RouteCountsSnapshot {
-    /// Exact unbounded-width S2BDD route.
-    pub exact: u64,
-    /// Width-bounded S2BDD route.
-    pub bounded: u64,
-    /// Flat-sampling route.
-    pub sampling: u64,
-    /// Bit-parallel sampling route.
-    pub bit_sampling: u64,
-    /// Exact d-hop enumeration route.
-    pub enumeration: u64,
 }
 
 /// A frozen, serializable copy of the whole [`Metrics`] catalogue — the
@@ -457,7 +443,7 @@ pub struct MetricsSnapshot {
     /// What-if evaluations (including maximizer probes).
     pub whatif_queries: u64,
     /// Planner route decisions.
-    pub routes: RouteCountsSnapshot,
+    pub routes: RouteCounts,
     /// Final-block lane utilization per bit-sampling-routed part.
     pub bit_lane_utilization_percent: HistogramSnapshot,
     /// Node-cap safety-net trips.
@@ -683,11 +669,6 @@ impl Recorder {
         Recorder(Some(Arc::new(Metrics::new())))
     }
 
-    /// A recorder sharing an existing catalogue.
-    pub fn with_metrics(metrics: Arc<Metrics>) -> Self {
-        Recorder(Some(metrics))
-    }
-
     /// The catalogue, if recording.
     #[inline]
     pub fn metrics(&self) -> Option<&Arc<Metrics>> {
@@ -839,6 +820,20 @@ mod tests {
             .get("plan_seconds")
             .and_then(|h| h.get("counts"))
             .is_some());
+        let Some(serde::Value::Map(routes)) = v.get("routes") else {
+            panic!("routes is not an object");
+        };
+        let keys: Vec<&str> = routes.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "exact",
+                "bounded",
+                "sampling",
+                "bit_sampling",
+                "enumeration"
+            ]
+        );
     }
 
     #[test]

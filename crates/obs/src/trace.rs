@@ -51,14 +51,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Total traced duration: the root span's extent (0 when empty).
-    pub fn total_ns(&self) -> u64 {
-        self.spans
-            .first()
-            .map(|s| s.end_ns.saturating_sub(s.start_ns))
-            .unwrap_or(0)
-    }
-
     /// The first span with this name, if any.
     pub fn find(&self, name: &str) -> Option<&TraceSpan> {
         self.spans.iter().find(|s| s.name == name)

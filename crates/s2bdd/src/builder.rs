@@ -83,7 +83,6 @@ impl S2Bdd {
         let mut layers_completed = 0usize;
         let mut early_exit = false;
         let mut node_cap_hit = false;
-        let mut trajectory: Option<Vec<(f64, f64)>> = cfg.record_trajectory.then(Vec::new);
 
         for l in 0..layers_total {
             let e = machine.current_edge();
@@ -100,6 +99,7 @@ impl S2Bdd {
             deleted.reset(width);
             deleted_pn.clear();
             let mut deleted_mass = WideFloat::ZERO;
+            let (pc_before, pd_before) = (pc, pd);
 
             for node in &nodes {
                 for (take, weight) in [(true, e.p), (false, 1.0 - e.p)] {
@@ -154,9 +154,8 @@ impl S2Bdd {
             if cfg.reduce_samples {
                 s_cur = reduced_samples(cfg.samples, pc.to_f64(), pd.to_f64());
             }
-            if let Some(tr) = trajectory.as_mut() {
-                tr.push((pc.to_f64(), pd.to_f64()));
-            }
+            // The proven bounds only ever tighten.
+            debug_assert!(pc >= pc_before && pd >= pd_before);
             peak_width = peak_width.max(next.len());
             peak_memory = peak_memory.max(cur.bytes() + next.bytes() + deleted.bytes());
             layers_completed = l + 1;
@@ -265,7 +264,6 @@ impl S2Bdd {
             early_exit,
             node_cap_hit,
             nodes_created: created_nodes_total,
-            trajectory,
         })
     }
 
@@ -602,24 +600,6 @@ mod tests {
         let r = S2Bdd::solve(&g, &[0, 2], S2BddConfig::exact()).unwrap();
         assert!(r.exact);
         assert!((r.estimate - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trajectory_recorded_when_asked() {
-        let (g, t) = fixture();
-        let cfg = S2BddConfig {
-            record_trajectory: true,
-            ..S2BddConfig::exact()
-        };
-        let r = S2Bdd::solve(&g, &t, cfg).unwrap();
-        let tr = r.trajectory.unwrap();
-        assert_eq!(tr.len(), r.layers_completed);
-        // pc and pd are monotone nondecreasing.
-        for w in tr.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
-        let last = tr.last().unwrap();
-        assert!((last.0 + last.1 - 1.0).abs() < 1e-12);
     }
 
     proptest! {

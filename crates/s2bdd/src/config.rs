@@ -19,7 +19,7 @@ pub enum EstimatorKind {
 ///
 /// `Eq`/`Hash` cover every field (there are no floats), so a configuration
 /// can key a plan cache: two configs differing in any knob — width, samples,
-/// estimator, order, merge rule, seed, reduction, trajectory — never alias.
+/// estimator, order, merge rule, seed, reduction — never alias.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct S2BddConfig {
     /// Maximum number of nodes kept per layer (the paper's `w`).
@@ -47,9 +47,6 @@ pub struct S2BddConfig {
     /// of blowing up. `usize::MAX` (the default) disables the cap. Used by
     /// the engine's adaptive planner as the safety net of its exact route.
     pub node_cap: usize,
-    /// Record the `(p_c, p_d)` trajectory per layer (costs `O(|E|)` memory;
-    /// useful for plots and diagnostics).
-    pub record_trajectory: bool,
 }
 
 impl Default for S2BddConfig {
@@ -63,7 +60,6 @@ impl Default for S2BddConfig {
             seed: 0x5eed,
             reduce_samples: true,
             node_cap: usize::MAX,
-            record_trajectory: false,
         }
     }
 }

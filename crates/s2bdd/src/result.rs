@@ -48,8 +48,6 @@ pub struct S2BddResult {
     /// results that never built a diagram (trivial instances, flat
     /// sampling, d-hop enumeration).
     pub nodes_created: usize,
-    /// Optional per-layer `(p_c, p_d)` trajectory.
-    pub trajectory: Option<Vec<(f64, f64)>>,
 }
 
 impl S2BddResult {
@@ -73,7 +71,6 @@ impl S2BddResult {
             early_exit: false,
             node_cap_hit: false,
             nodes_created: 0,
-            trajectory: None,
         }
     }
 

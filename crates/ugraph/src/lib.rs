@@ -12,7 +12,8 @@
 //! * [`twoecc`]: 2-edge-connected components and the contracted bridge tree,
 //! * [`steiner`]: minimal terminal-spanning subtree of a tree,
 //! * [`ordering`]: edge orderings and frontier planning for BDD construction,
-//! * [`sample`]: possible-world sampling with early-exit connectivity.
+//! * [`sample`]: possible-world sampling with early-exit connectivity, and
+//!   the hop-bounded BFS ([`HopBfs`]) behind d-hop reachability.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,5 +35,5 @@ pub use error::{GraphError, Result};
 pub use graph::{EdgeId, UEdge, UncertainGraph, VertexId};
 pub use multigraph::MultiGraph;
 pub use ordering::{EdgeOrder, FrontierPlan};
-pub use sample::{HopSampler, WorldSampler};
+pub use sample::{HopBfs, HopSampler, WorldSampler};
 pub use stats::GraphStats;

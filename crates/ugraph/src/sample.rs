@@ -9,7 +9,7 @@
 //! with an epoch counter and lazily re-initialized on first access, so a
 //! sample costs `O(|E| α(|V|))` regardless of `|V|`.
 
-use crate::graph::{UncertainGraph, VertexId};
+use crate::graph::{EdgeId, UncertainGraph, VertexId};
 use rand::Rng;
 
 #[derive(Clone, Copy, Debug)]
@@ -159,32 +159,25 @@ impl WorldSampler {
     }
 }
 
-/// Reusable possible-world sampler for *hop-bounded* reachability: does the
-/// sampled world contain an `s`–`t` path of at most `d` edges?
-///
-/// Unlike [`WorldSampler`], connectivity alone is not enough — the indicator
-/// depends on path *length* — so each sample draws the full edge mask first
-/// (every edge must be decided before the BFS; lazily drawing edges during
-/// the traversal would draw an edge once per incidence and bias the world
-/// distribution) and then runs a layered BFS truncated at depth `d`, with
-/// early exit once `t` enters the frontier. Visited marks are
-/// epoch-versioned, so a sample costs `O(|E| + |V_visited|)` with no
-/// per-sample reset.
+/// Epoch-versioned layered BFS for hop-bounded reachability: is `t`
+/// reachable from `s` over at most `max_hops` admitted edges? The search is
+/// truncated at depth `max_hops` and exits early once `t` enters the
+/// frontier. Visited marks are epoch-versioned, so one workspace serves any
+/// number of searches at `O(|E| + |V_visited|)` each, with no per-search
+/// reset or allocation.
 #[derive(Clone, Debug)]
-pub struct HopSampler {
-    present: Vec<bool>,
+pub struct HopBfs {
     visited: Vec<u32>,
     epoch: u32,
     frontier: Vec<u32>,
     next: Vec<u32>,
 }
 
-impl HopSampler {
-    /// Sampler for graphs with up to `n` vertices and `m` edges.
-    pub fn new(n: usize, m: usize) -> Self {
+impl HopBfs {
+    /// Workspace for graphs with up to `n` vertices.
+    pub fn new(n: usize) -> Self {
         assert!(n <= u32::MAX as usize);
-        HopSampler {
-            present: vec![false; m],
+        HopBfs {
             visited: vec![0; n],
             epoch: 0,
             frontier: Vec::new(),
@@ -192,28 +185,25 @@ impl HopSampler {
         }
     }
 
-    fn begin(&mut self) {
+    /// Whether `t` is reachable from `s` within `max_hops` edges, walking
+    /// only the edges for which `admit` holds. `s == t` is vacuously true.
+    pub fn reaches(
+        &mut self,
+        g: &UncertainGraph,
+        s: VertexId,
+        t: VertexId,
+        max_hops: u32,
+        admit: impl Fn(EdgeId) -> bool,
+    ) -> bool {
+        if s == t {
+            return true;
+        }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Extremely rare wrap: clear eagerly so stale epochs can't alias.
             self.visited.iter_mut().for_each(|v| *v = 0);
             self.epoch = 1;
         }
-    }
-
-    /// Layered BFS from `s` over the currently drawn edge mask, truncated at
-    /// `max_hops` levels. Returns whether `t` is reached within the bound.
-    fn reaches_within(
-        &mut self,
-        g: &UncertainGraph,
-        s: VertexId,
-        t: VertexId,
-        max_hops: u32,
-    ) -> bool {
-        if s == t {
-            return true;
-        }
-        self.begin();
         self.visited[s] = self.epoch;
         self.frontier.clear();
         self.frontier.push(s as u32);
@@ -222,7 +212,7 @@ impl HopSampler {
             for fi in 0..self.frontier.len() {
                 let v = self.frontier[fi] as usize;
                 for &(w, e) in g.neighbors(v) {
-                    if self.present[e] && self.visited[w] != self.epoch {
+                    if admit(e) && self.visited[w] != self.epoch {
                         if w == t {
                             return true;
                         }
@@ -237,6 +227,30 @@ impl HopSampler {
             }
         }
         false
+    }
+}
+
+/// Reusable possible-world sampler for *hop-bounded* reachability: does the
+/// sampled world contain an `s`–`t` path of at most `d` edges?
+///
+/// Unlike [`WorldSampler`], connectivity alone is not enough — the indicator
+/// depends on path *length* — so each sample draws the full edge mask first
+/// (every edge must be decided before the BFS; lazily drawing edges during
+/// the traversal would draw an edge once per incidence and bias the world
+/// distribution) and then runs a [`HopBfs`] over the drawn edges.
+#[derive(Clone, Debug)]
+pub struct HopSampler {
+    present: Vec<bool>,
+    bfs: HopBfs,
+}
+
+impl HopSampler {
+    /// Sampler for graphs with up to `n` vertices and `m` edges.
+    pub fn new(n: usize, m: usize) -> Self {
+        HopSampler {
+            present: vec![false; m],
+            bfs: HopBfs::new(n),
+        }
     }
 
     /// Draw one possible world of `g` and report whether it contains an
@@ -254,7 +268,7 @@ impl HopSampler {
         for (i, e) in g.edges().iter().enumerate() {
             self.present[i] = rng.gen::<f64>() < e.p;
         }
-        self.reaches_within(g, s, t, max_hops)
+        self.bfs.reaches(g, s, t, max_hops, |e| self.present[e])
     }
 
     /// Hop-bounded analogue of [`WorldSampler::sample_world_full`]: draw one
@@ -279,7 +293,11 @@ impl HopSampler {
             hash = hash.wrapping_mul(0x100000001b3);
             ln_p += if exists { e.p.ln() } else { (1.0 - e.p).ln() };
         }
-        (self.reaches_within(g, s, t, max_hops), ln_p, hash)
+        (
+            self.bfs.reaches(g, s, t, max_hops, |e| self.present[e]),
+            ln_p,
+            hash,
+        )
     }
 }
 
