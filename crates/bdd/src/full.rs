@@ -92,8 +92,6 @@ pub struct FullBdd {
     pub reliability: f64,
     /// Total node count (the paper's BDD "size").
     pub node_count: usize,
-    /// Peak bytes held by the two layer arenas during construction.
-    pub peak_state_bytes: usize,
 }
 
 impl FullBdd {
@@ -112,7 +110,6 @@ impl FullBdd {
                 probs: Vec::new(),
                 reliability: r,
                 node_count: 0,
-                peak_state_bytes: 0,
             });
         }
 
@@ -124,7 +121,6 @@ impl FullBdd {
         states.find_or_insert(true); // the root
         let mut next_states = LayerArena::new(cfg.merge_rule);
         let mut node_count = 0usize;
-        let mut peak_state_bytes = 0usize;
 
         for _ in 0..machine.layers() {
             let e = machine.current_edge();
@@ -154,7 +150,6 @@ impl FullBdd {
             if node_count > cfg.node_limit {
                 return Err(FullBddError::NodeLimit { built: node_count });
             }
-            peak_state_bytes = peak_state_bytes.max(states.bytes() + next_states.bytes());
             layers.push(level);
             std::mem::swap(&mut states, &mut next_states);
             machine.advance();
@@ -171,13 +166,7 @@ impl FullBdd {
             probs,
             reliability,
             node_count,
-            peak_state_bytes,
         })
-    }
-
-    /// Rough resident-memory estimate of the materialized diagram.
-    pub fn memory_bytes(&self) -> usize {
-        self.node_count * std::mem::size_of::<BddNode>() + self.peak_state_bytes
     }
 }
 
@@ -358,7 +347,6 @@ mod tests {
         let g =
             UncertainGraph::new(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)]).unwrap();
         let b = build(&g, &[0, 2]);
-        assert!(b.memory_bytes() > 0);
         assert_eq!(b.layers.len(), 4);
         assert_eq!(b.node_count, b.layers.iter().map(Vec::len).sum::<usize>());
     }

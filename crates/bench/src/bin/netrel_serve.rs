@@ -30,7 +30,7 @@
 )]
 
 use netrel_engine::service::Service;
-use netrel_engine::{Engine, EngineConfig, Recorder};
+use netrel_engine::{Engine, EngineConfig};
 use std::io::{self, BufRead, Write};
 use std::process::ExitCode;
 
@@ -46,7 +46,6 @@ fn parse_flag(value: &str, what: &str) -> Result<usize, ExitCode> {
 fn main() -> ExitCode {
     let mut workers = 0usize; // 0 = EngineConfig::default() auto-detection
     let mut cache = usize::MAX;
-    let mut metrics = true;
     for arg in std::env::args().skip(1) {
         if let Some(v) = arg.strip_prefix("--workers=") {
             workers = match parse_flag(v, "--workers") {
@@ -58,10 +57,8 @@ fn main() -> ExitCode {
                 Ok(n) => n,
                 Err(code) => return code,
             };
-        } else if arg == "--no-metrics" {
-            metrics = false;
         } else if arg == "--help" || arg == "-h" {
-            eprintln!("usage: netrel-serve [--workers=N] [--cache=ENTRIES] [--no-metrics]");
+            eprintln!("usage: netrel-serve [--workers=N] [--cache=ENTRIES]");
             eprintln!("NDJSON protocol: register/query/batch/mutate/whatif/maximize/stats/");
             eprintln!("metrics, planner budgets, CI fields, and `trace` — documented in");
             eprintln!("docs/protocol.md (netcat/curl examples included) and the");
@@ -79,12 +76,7 @@ fn main() -> ExitCode {
         cfg.plan_cache_capacity = cache;
     }
 
-    let recorder = if metrics {
-        Recorder::enabled()
-    } else {
-        Recorder::noop()
-    };
-    let mut service = Service::new(Engine::with_recorder(cfg, recorder));
+    let mut service = Service::new(Engine::new(cfg));
     let stdin = io::stdin();
     let stdout = io::stdout();
     let mut out = stdout.lock();

@@ -17,9 +17,7 @@
 use crate::{fmt_secs, overlapping_terminal_pairs, time, RunArgs};
 use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
 use netrel_datasets::{clique, Dataset};
-use netrel_engine::{
-    Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery, Recorder, ReliabilityAnswer,
-};
+use netrel_engine::{Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery, ReliabilityAnswer};
 use netrel_obs::{BenchReport, BenchRow, CacheCounts, RouteCounts};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
@@ -70,9 +68,7 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
         });
 
         // Cold engine: index build + batched answering in arrival order.
-        // The live recorder demonstrates (and regression-guards) that the
-        // instrumented hot path keeps its throughput.
-        let mut engine = Engine::with_recorder(EngineConfig::sequential(), Recorder::enabled());
+        let mut engine = Engine::new(EngineConfig::sequential());
         let id = engine.register(ds.spec().abbr, g.clone());
         let (cold, cold_secs) = time(|| run_chunks(&engine, id, &queries));
 
@@ -84,7 +80,7 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
             assert_eq!(s.estimate.to_bits(), w.estimate.to_bits(), "warm mismatch");
         }
 
-        let snapshot = engine.metrics_snapshot().expect("recorder is enabled");
+        let snapshot = engine.metrics_snapshot();
         let cold_qps = ENGINE_QUERIES as f64 / cold_secs;
         let warm_qps = ENGINE_QUERIES as f64 / warm_secs;
         let row = BenchRow {
@@ -229,7 +225,7 @@ pub fn planner_suite(args: &RunArgs) -> BenchReport {
     );
     for (workload, g, spec, terminal_sets) in workloads {
         let n_queries = terminal_sets.len();
-        let mut engine = Engine::with_recorder(EngineConfig::sequential(), Recorder::enabled());
+        let mut engine = Engine::new(EngineConfig::sequential());
         let id = engine.register(workload.clone(), g.clone());
 
         // Exact-only under the same node cap the planner gets. The fixed
@@ -266,13 +262,13 @@ pub fn planner_suite(args: &RunArgs) -> BenchReport {
         // are deltas across the planner run alone, so the exact-only phase
         // cannot skew them.
         engine.clear_cache();
-        let before = engine.metrics_snapshot().expect("recorder is enabled");
+        let before = engine.metrics_snapshot();
         let planned: Vec<PlannedQuery> = terminal_sets
             .iter()
             .map(|t| PlannedQuery::with_semantics(spec, t.clone(), ProConfig::default(), budget))
             .collect();
         let (answers, planner_secs) = time(|| engine.run_planned_batch(id, &planned).unwrap());
-        let after = engine.metrics_snapshot().expect("recorder is enabled");
+        let after = engine.metrics_snapshot();
 
         let (mut done, mut ci_sum) = (0usize, 0.0f64);
         for a in &answers {
@@ -375,7 +371,7 @@ pub fn mutation_suite(args: &RunArgs) -> BenchReport {
             ProConfig::default(),
             budget,
         );
-        let mut engine = Engine::with_recorder(EngineConfig::sequential(), Recorder::enabled());
+        let mut engine = Engine::new(EngineConfig::sequential());
         let id = engine.register(workload.clone(), g.clone());
         let (_, cold_secs) = time(|| engine.run_planned(id, &q).unwrap());
 
@@ -389,7 +385,7 @@ pub fn mutation_suite(args: &RunArgs) -> BenchReport {
         // Incremental path: commit one update (index patch + scoped
         // invalidation — the op the acceptance ratio is about), then
         // re-answer the query against the surviving warm cache.
-        let before = engine.metrics_snapshot().expect("recorder is enabled");
+        let before = engine.metrics_snapshot();
         let mut live = Vec::with_capacity(MUTATION_ROUNDS);
         let (mut update_secs, mut requery_secs) = (0.0f64, 0.0f64);
         for &(e, p) in &schedule {
@@ -399,7 +395,7 @@ pub fn mutation_suite(args: &RunArgs) -> BenchReport {
             requery_secs += t;
             live.push(a);
         }
-        let after = engine.metrics_snapshot().expect("recorder is enabled");
+        let after = engine.metrics_snapshot();
 
         // Rebuild path: the identical mutation prefix applied to a copy,
         // answered by a brand-new engine (index build + cold cache) each

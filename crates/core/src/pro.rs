@@ -28,14 +28,6 @@ impl ProConfig {
             preprocess: PreprocessConfig::default(),
         }
     }
-
-    /// Pro without the extension technique ("Pro w/o ext" in Figure 3).
-    pub fn without_extension(seed: u64) -> Self {
-        ProConfig {
-            s2bdd: S2BddConfig::paper_default(seed),
-            preprocess: PreprocessConfig::disabled(),
-        }
-    }
 }
 
 /// Result of a `Pro` run.
@@ -295,9 +287,14 @@ mod tests {
         let g = lollipop();
         let t = vec![0, 4];
         let expect = brute_force_reliability(&g, &t);
-        let mut cfg = ProConfig::without_extension(3);
-        cfg.s2bdd.samples = 50_000;
-        cfg.s2bdd.max_width = 4;
+        let cfg = ProConfig {
+            s2bdd: S2BddConfig {
+                max_width: 4,
+                samples: 50_000,
+                ..S2BddConfig::paper_default(3)
+            },
+            preprocess: PreprocessConfig::disabled(),
+        };
         let r = pro_reliability(&g, &t, cfg).unwrap();
         assert!(
             (r.estimate - expect).abs() < 0.05,

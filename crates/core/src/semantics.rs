@@ -327,8 +327,10 @@ impl SemanticsPlan {
 /// the distance-pruned subgraph: vertex `v` survives iff
 /// `dist(s, v) + dist(v, t) ≤ d` in the certain graph (a vertex off
 /// every short-enough path cannot influence the indicator). `cfg.prune`
-/// toggles the pruning for ablation; the trivially-zero check
-/// (`dist(s, t) > d` even with all edges present) always runs.
+/// toggles the pruning for ablation; the trivially-zero check (`t`
+/// unreachable, or `dist(s, t) > d` even with all edges present) always
+/// runs. Distances are `u32::MAX` for unreachable vertices, so neither
+/// test may let that value pass as a length of at most `d`.
 fn plan_dhop(
     g: &UncertainGraph,
     terminals: &[VertexId],
@@ -348,7 +350,7 @@ fn plan_dhop(
     let (s, target) = (t[0], t[1]);
     let original_edges = g.num_edges();
     let ds = bfs_distances(g, s);
-    if ds[target] > d {
+    if ds[target] == u32::MAX || ds[target] > d {
         let stats = PreprocessStats {
             original_edges,
             pruned_edges: 0,
@@ -362,7 +364,7 @@ fn plan_dhop(
     let part = if cfg.prune {
         let dt = bfs_distances(g, target);
         let keep: Vec<bool> = (0..g.num_vertices())
-            .map(|v| ds[v].saturating_add(dt[v]) <= d)
+            .map(|v| u64::from(ds[v]) + u64::from(dt[v]) <= u64::from(d))
             .collect();
         let (sub, map) = g.induced_subgraph(&keep);
         let terminals = vec![
@@ -770,6 +772,37 @@ mod tests {
         .unwrap();
         assert!(r.exact);
         assert!((r.estimate - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dhop_plan_at_the_largest_bound_drops_unreachable_vertices() {
+        // Components {0, 1, 2} (a path) and {3, 4, 5} (a triangle).
+        let g = UncertainGraph::new(
+            6,
+            [
+                (0, 1, 0.5),
+                (1, 2, 0.5),
+                (3, 4, 0.5),
+                (4, 5, 0.5),
+                (3, 5, 0.5),
+            ],
+        )
+        .unwrap();
+        let index = GraphIndex::build(&g);
+        for d in [u32::MAX - 1, u32::MAX] {
+            let spec = SemanticsSpec::DHop { d };
+            let plan = spec
+                .plan(&g, &index, &[0, 2], PreprocessConfig::default())
+                .unwrap();
+            assert_eq!(plan.parts.len(), 1, "d = {d}");
+            assert_eq!(plan.parts[0].graph.num_edges(), 2, "d = {d}");
+            assert_eq!(plan.stats.pruned_edges, 2, "d = {d}");
+            let apart = spec
+                .plan(&g, &index, &[0, 3], PreprocessConfig::default())
+                .unwrap();
+            assert!(apart.trivially_zero, "d = {d}");
+            assert!(apart.parts.is_empty(), "d = {d}");
+        }
     }
 
     #[test]

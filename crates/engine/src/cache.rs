@@ -392,8 +392,8 @@ mod tests {
             },
             S2BddConfig {
                 order: match order {
-                    EdgeOrder::Bfs => EdgeOrder::Degeneracy,
-                    EdgeOrder::Input | EdgeOrder::Dfs | EdgeOrder::Degeneracy => EdgeOrder::Bfs,
+                    EdgeOrder::Bfs => EdgeOrder::Dfs,
+                    EdgeOrder::Input | EdgeOrder::Dfs => EdgeOrder::Bfs,
                 },
                 ..base
             },

@@ -10,31 +10,21 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Run `f(0..n)` and return the results in index order, plus optional
-/// per-worker busy timing. With `workers <= 1` (or fewer than two jobs)
-/// this is a plain sequential loop; otherwise `min(workers, n)` scoped
-/// threads pull job indices from a shared atomic counter. `f` must be
-/// deterministic per index for the parallel and sequential paths to agree
-/// (solver jobs are: their seeds come from the job, not the thread). With
-/// `timed == true`, the second return value holds each worker's total
-/// in-job time (one entry for the sequential path); with `timed == false`
-/// it is empty and no clock is ever read — the instrumentation must cost
-/// nothing when observability is off. Timing never affects scheduling or
-/// results: the clock reads bracket `f` without touching the job counter.
-pub(crate) fn run_indexed_timed<T, F>(
-    n: usize,
-    workers: usize,
-    timed: bool,
-    f: F,
-) -> (Vec<T>, Vec<Duration>)
+/// Run `f(0..n)` and return the results in index order, plus per-worker
+/// busy timing. With `workers <= 1` (or fewer than two jobs) this is a
+/// plain sequential loop; otherwise `min(workers, n)` scoped threads pull
+/// job indices from a shared atomic counter. `f` must be deterministic per
+/// index for the parallel and sequential paths to agree (solver jobs are:
+/// their seeds come from the job, not the thread). The second return value
+/// holds each worker's total in-job time (one entry for the sequential
+/// path). Timing never affects scheduling or results: the clock reads
+/// bracket `f` without touching the job counter.
+pub(crate) fn run_indexed_timed<T, F>(n: usize, workers: usize, f: F) -> (Vec<T>, Vec<Duration>)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     if workers <= 1 || n <= 1 {
-        if !timed {
-            return ((0..n).map(f).collect(), Vec::new());
-        }
         let start = Instant::now();
         let out = (0..n).map(f).collect();
         return (out, vec![start.elapsed()]);
@@ -51,13 +41,9 @@ where
                         if i >= n {
                             break;
                         }
-                        if timed {
-                            let t0 = Instant::now();
-                            out.push((i, f(i)));
-                            busy += t0.elapsed();
-                        } else {
-                            out.push((i, f(i)));
-                        }
+                        let t0 = Instant::now();
+                        out.push((i, f(i)));
+                        busy += t0.elapsed();
                     }
                     (out, busy)
                 })
@@ -71,9 +57,7 @@ where
     let mut busy_times = Vec::new();
     let mut collected: Vec<(usize, T)> = Vec::with_capacity(n);
     for (out, busy) in per_worker {
-        if timed {
-            busy_times.push(busy);
-        }
+        busy_times.push(busy);
         collected.extend(out);
     }
     collected.sort_unstable_by_key(|&(i, _)| i);
@@ -84,9 +68,9 @@ where
 mod tests {
     use super::*;
 
-    /// Untimed convenience wrapper for result-ordering tests.
+    /// The results alone, for result-ordering tests.
     fn run_indexed<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        run_indexed_timed(n, workers, false, f).0
+        run_indexed_timed(n, workers, f).0
     }
 
     #[test]
@@ -112,14 +96,12 @@ mod tests {
     #[test]
     fn timed_run_returns_same_results_plus_busy_times() {
         let f = |i: usize| i * 3;
-        let (plain, none) = run_indexed_timed(20, 4, false, f);
-        assert!(none.is_empty(), "untimed runs must not report timings");
-        let (timed, busy) = run_indexed_timed(20, 4, true, f);
-        assert_eq!(plain, timed);
+        let (timed, busy) = run_indexed_timed(20, 4, f);
+        assert_eq!(timed, (0..20).map(f).collect::<Vec<_>>());
         assert!(!busy.is_empty() && busy.len() <= 4);
         // Sequential timed path reports exactly one worker.
-        let (seq, busy) = run_indexed_timed(20, 1, true, f);
-        assert_eq!(seq, plain);
+        let (seq, busy) = run_indexed_timed(20, 1, f);
+        assert_eq!(seq, timed);
         assert_eq!(busy.len(), 1);
     }
 }

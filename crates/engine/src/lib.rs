@@ -398,10 +398,8 @@ pub struct Engine {
     graphs: Vec<RegisteredGraph>,
     by_name: HashMap<String, usize>,
     cache: Mutex<PlanCache>,
-    /// Metrics recorder — the no-op by default ([`Engine::new`]), live when
-    /// constructed via [`Engine::with_recorder`]. Recording is passive
-    /// (atomic counters and clock reads only), so answers are bit-identical
-    /// either way.
+    /// Metrics recorder, always live. Recording is passive (atomic counters
+    /// and clock reads only), so it never changes an answer bit.
     obs: Recorder,
     /// Memoized packed world masks for [`PartSolver::BitSampling`] parts:
     /// queries on the same graph/seed/budget share every drawn world, so
@@ -458,13 +456,14 @@ fn fixed_solver(part: &SemPart, base: S2BddConfig, part_index: usize) -> PartSol
 }
 
 impl Engine {
-    /// A new engine with the given configuration and the no-op recorder.
+    /// A new engine with the given configuration, recording into a fresh
+    /// metric catalogue.
     pub fn new(cfg: EngineConfig) -> Self {
-        Self::with_recorder(cfg, Recorder::noop())
+        Self::with_recorder(cfg, Recorder::enabled())
     }
 
-    /// A new engine recording metrics into `obs` (use
-    /// [`Recorder::enabled`] for a live catalogue; the service does).
+    /// A new engine recording metrics into `obs`, which may be shared with
+    /// other engines.
     pub fn with_recorder(cfg: EngineConfig, obs: Recorder) -> Self {
         Engine {
             cfg,
@@ -481,8 +480,8 @@ impl Engine {
         &self.obs
     }
 
-    /// Snapshot of the metric catalogue (`None` for the no-op recorder).
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+    /// Snapshot of the metric catalogue.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.obs.snapshot()
     }
 
@@ -494,9 +493,10 @@ impl Engine {
         let t0 = Instant::now();
         let index = GraphIndex::build(&graph);
         let index_build = t0.elapsed();
-        if let Some(m) = self.obs.metrics() {
-            m.index_build_seconds.observe_duration(index_build);
-        }
+        self.obs
+            .metrics()
+            .index_build_seconds
+            .observe_duration(index_build);
         let id = self.graphs.len();
         self.by_name.insert(name.clone(), id);
         self.graphs.push(RegisteredGraph {
@@ -594,11 +594,11 @@ impl Engine {
         index: &GraphIndex,
         queries: &[PlannedQuery],
     ) -> Vec<Result<PreparedQuery, EngineError>> {
-        let metrics = self.obs.metrics();
+        let m = self.obs.metrics();
         queries
             .iter()
             .map(|q| {
-                let t0 = metrics.map(|_| Instant::now());
+                let t0 = Instant::now();
                 if q.trace {
                     obs_trace::install(TraceBuilder::new());
                 }
@@ -607,14 +607,12 @@ impl Engine {
                     .plan(graph, index, &q.terminals, q.config.preprocess);
                 let mut tb = if q.trace { obs_trace::take() } else { None };
                 let plan = plan_result?; // a failed plan drops its trace
-                if let (Some(m), Some(t0)) = (metrics, t0) {
-                    m.plan_seconds.observe_duration(t0.elapsed());
-                    match q.policy {
-                        Policy::Fixed => m.queries_classic.inc(),
-                        Policy::Budgeted => m.queries_planned.inc(),
-                    }
-                    m.parts_per_query.observe_count(plan.parts.len());
+                m.plan_seconds.observe_duration(t0.elapsed());
+                match q.policy {
+                    Policy::Fixed => m.queries_classic.inc(),
+                    Policy::Budgeted => m.queries_planned.inc(),
                 }
+                m.parts_per_query.observe_count(plan.parts.len());
                 let route_span = tb.as_mut().and_then(|b| b.open("route"));
                 let parts = plan.parts.iter().enumerate();
                 let solvers: Vec<PartSolver> = match q.policy {
@@ -628,9 +626,7 @@ impl Engine {
                         parts
                             .map(|(pi, part)| {
                                 let p = plan_part(part, q.config.s2bdd, pi, &part_budget);
-                                if let Some(m) = metrics {
-                                    Self::record_plan(m, &p);
-                                }
+                                Self::record_plan(m, &p);
                                 p.solver
                             })
                             .collect()
@@ -704,16 +700,8 @@ impl Engine {
         queries: &[PlannedQuery],
     ) -> Vec<Result<ReliabilityAnswer, EngineError>> {
         let mut prepared = self.prepare(graph, index, queries);
-        let metrics = self.obs.metrics();
-        if let Some(m) = metrics {
-            m.batches.inc();
-        }
-        // Timing is on when either instrument wants it; both are passive
-        // (clock reads only), so answers are unaffected either way.
-        let timed = metrics.is_some()
-            || prepared
-                .iter()
-                .any(|p| p.as_ref().is_ok_and(|p| p.trace.is_some()));
+        let m = self.obs.metrics();
+        m.batches.inc();
 
         // Plan-cache lookup and in-batch dedup per part, under the lock.
         // Jobs hold `(query, part)` indices into `prepared`, so part graphs
@@ -753,11 +741,9 @@ impl Engine {
                 }
             }
         } // release the cache lock before solving
-        if let Some(m) = metrics {
-            m.cache_hits.add(total_hits);
-            m.cache_misses.add(total_misses);
-            m.jobs.add(jobs.len() as u64);
-        }
+        m.cache_hits.add(total_hits);
+        m.cache_misses.add(total_misses);
+        m.jobs.add(jobs.len() as u64);
         if let Some(rg) = self.graphs.get(owner) {
             rg.cache_hits.fetch_add(total_hits, Ordering::Relaxed);
             rg.cache_misses.fetch_add(total_misses, Ordering::Relaxed);
@@ -765,16 +751,15 @@ impl Engine {
 
         // Stage 2: solve the deduped jobs on the worker pool. Each job's
         // solver is fully materialized (seed included), so results do not
-        // depend on scheduling. When timed, each job also reports the
-        // `(start, end)` instants of its solve — queue wait is measured
-        // from the shared `anchor` just before the pool starts.
+        // depend on scheduling. Each job also reports the `(start, end)`
+        // instants of its solve — queue wait is measured from the shared
+        // `anchor` just before the pool starts.
         let anchor = Instant::now();
         let (solved, worker_busy) = executor::run_indexed_timed(
             jobs.len(),
             self.cfg.workers,
-            timed,
-            |j| -> (Result<S2BddResult, GraphError>, Option<(Instant, Instant)>) {
-                let start = timed.then(Instant::now);
+            |j| -> (Result<S2BddResult, GraphError>, (Instant, Instant)) {
+                let start = Instant::now();
                 let (qi, pi) = jobs[j];
                 let prep = prepared[qi].as_ref().expect("jobs come from Ok queries");
                 let part = &prep.plan.parts[pi];
@@ -808,26 +793,22 @@ impl Engine {
                         },
                     ),
                 };
-                (result, start.map(|s| (s, Instant::now())))
+                (result, (start, Instant::now()))
             },
         );
-        if let Some(m) = metrics {
-            for busy in &worker_busy {
-                m.worker_busy_seconds.observe_duration(*busy);
-            }
-            for (result, span) in &solved {
-                if let Some((s, e)) = span {
-                    m.part_solve_seconds.observe_duration(e.duration_since(*s));
-                    m.queue_wait_seconds
-                        .observe_duration(s.saturating_duration_since(anchor));
+        for busy in &worker_busy {
+            m.worker_busy_seconds.observe_duration(*busy);
+        }
+        for (result, (s, e)) in &solved {
+            m.part_solve_seconds.observe_duration(e.duration_since(*s));
+            m.queue_wait_seconds
+                .observe_duration(s.saturating_duration_since(anchor));
+            if let Ok(r) = result {
+                if r.nodes_created > 0 {
+                    m.actual_nodes.observe_count(r.nodes_created);
                 }
-                if let Ok(r) = result {
-                    if r.nodes_created > 0 {
-                        m.actual_nodes.observe_count(r.nodes_created);
-                    }
-                    if r.node_cap_hit {
-                        m.node_cap_hits.inc();
-                    }
+                if r.node_cap_hit {
+                    m.node_cap_hits.inc();
                 }
             }
         }
@@ -842,18 +823,14 @@ impl Engine {
                     let prep = prepared[qi].as_ref().expect("jobs come from Ok queries");
                     let ins = cache.insert(prep.keys[pi].clone(), r.clone(), owner);
                     if ins.stored {
-                        if let Some(m) = metrics {
-                            m.cache_insertions.inc();
-                        }
+                        m.cache_insertions.inc();
                         if let Some(rg) = self.graphs.get(owner) {
                             rg.cache_inserts.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     if let Some(age) = ins.evicted_age {
-                        if let Some(m) = metrics {
-                            m.cache_evictions.inc();
-                            m.cache_eviction_age.observe_count(age as usize);
-                        }
+                        m.cache_evictions.inc();
+                        m.cache_eviction_age.observe_count(age as usize);
                     }
                 }
             }
@@ -873,7 +850,7 @@ impl Engine {
                         PartSource::Cached(r) => (r, None),
                         PartSource::Job(j) => {
                             let (r, span) = &solved[j];
-                            (r.clone()?, *span)
+                            (r.clone()?, Some(*span))
                         }
                     };
                     if let Some(b) = tb.as_mut() {
@@ -899,7 +876,7 @@ impl Engine {
                 // for bit on the classic single-group shape. When tracing,
                 // the builder is installed around the call so the core's
                 // "combine" span nests under this query's root.
-                let t0 = metrics.map(|_| Instant::now());
+                let t0 = Instant::now();
                 let pro = if let Some(b) = tb.take() {
                     obs_trace::install(b);
                     let pro = combine_semantics_plan(&prep.plan, parts);
@@ -908,9 +885,7 @@ impl Engine {
                 } else {
                     combine_semantics_plan(&prep.plan, parts)
                 };
-                if let (Some(m), Some(t0)) = (metrics, t0) {
-                    m.combine_seconds.observe_duration(t0.elapsed());
-                }
+                m.combine_seconds.observe_duration(t0.elapsed());
                 let value_cap = q.semantics.value_upper(graph);
                 Ok(ReliabilityAnswer {
                     semantics: q.semantics,
@@ -936,9 +911,7 @@ impl Engine {
                 }
             })
             .collect();
-        if let Some(m) = metrics {
-            m.query_errors.add(errors);
-        }
+        m.query_errors.add(errors);
         out
     }
 

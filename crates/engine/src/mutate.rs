@@ -252,19 +252,18 @@ impl Engine {
             None => (0, 0),
         };
 
-        if let Some(m) = self.obs.metrics() {
-            match mutation {
-                Mutation::UpdateProb { .. } => m.mutations_update_prob.inc(),
-                Mutation::AddEdge { .. } => m.mutations_add_edge.inc(),
-                Mutation::RemoveEdge { .. } => m.mutations_remove_edge.inc(),
-            }
-            match patch {
-                IndexPatch::Patched => m.index_patched.inc(),
-                IndexPatch::Rebuilt => m.index_rebuilt.inc(),
-            }
-            m.invalidated_plans.add(invalidated_plans as u64);
-            m.invalidated_worlds.add(invalidated_worlds as u64);
+        let m = self.obs.metrics();
+        match mutation {
+            Mutation::UpdateProb { .. } => m.mutations_update_prob.inc(),
+            Mutation::AddEdge { .. } => m.mutations_add_edge.inc(),
+            Mutation::RemoveEdge { .. } => m.mutations_remove_edge.inc(),
         }
+        match patch {
+            IndexPatch::Patched => m.index_patched.inc(),
+            IndexPatch::Rebuilt => m.index_rebuilt.inc(),
+        }
+        m.invalidated_plans.add(invalidated_plans as u64);
+        m.invalidated_worlds.add(invalidated_worlds as u64);
 
         Ok(MutationOutcome {
             edge,
@@ -299,9 +298,7 @@ impl Engine {
             apply_to_graph(&mut graph, m)?;
         }
         let index = GraphIndex::build(&graph);
-        if let Some(m) = self.obs.metrics() {
-            m.whatif_queries.inc();
-        }
+        self.obs.metrics().whatif_queries.inc();
         self.execute(id.0, &graph, &index, std::slice::from_ref(query))
             .pop()
             .expect("one result per query")
@@ -377,7 +374,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineConfig, Recorder};
+    use crate::EngineConfig;
 
     /// 4-cycle with a chord: edges 0–1, 1–2, 2–3, 3–0, 0–2.
     fn chorded_cycle() -> UncertainGraph {
@@ -433,7 +430,7 @@ mod tests {
 
     #[test]
     fn add_edge_invalidates_nothing_and_update_is_scoped() {
-        let mut engine = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
+        let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("g", chorded_cycle());
         // Warm the cache, then mutate.
         let q = PlannedQuery::with_semantics(
@@ -448,7 +445,8 @@ mod tests {
         assert_eq!(added.invalidated_worlds, 0);
         // An edge that never existed before the warmup cannot appear in
         // any key; an update to the touched edge drops its entries.
-        let m = engine.recorder().metrics().unwrap().clone();
+        let recorder = engine.recorder().clone();
+        let m = recorder.metrics();
         assert_eq!(m.mutations_add_edge.get(), 1);
         assert_eq!(m.invalidated_plans.get(), 0);
         engine.update_edge_prob(id, 4, 0.55).unwrap();

@@ -118,14 +118,6 @@ pub const BOUNDED_WIDTH_LIMIT: usize = 40;
 pub const MIN_BOUNDED_WIDTH: usize = 16;
 
 impl PlanBudget {
-    /// A budget with an explicit node budget and the remaining defaults.
-    pub fn with_nodes(node_budget: usize) -> Self {
-        PlanBudget {
-            node_budget,
-            ..Default::default()
-        }
-    }
-
     /// The node budget after applying the time hint.
     pub fn effective_node_budget(&self) -> usize {
         match self.time_hint_ms {
@@ -649,10 +641,16 @@ mod tests {
     #[test]
     fn dhop_node_budget_gates_enumeration() {
         let g = path(10); // 9 edges → 512 leaves
-        let tight = PlanBudget::with_nodes(511);
+        let tight = PlanBudget {
+            node_budget: 511,
+            ..Default::default()
+        };
         let plan = plan_part(&dhop(&g, &[0, 9], 9), S2BddConfig::default(), 0, &tight);
         assert_eq!(plan.route, Route::BitSampling);
-        let roomy = PlanBudget::with_nodes(512);
+        let roomy = PlanBudget {
+            node_budget: 512,
+            ..Default::default()
+        };
         let plan = plan_part(&dhop(&g, &[0, 9], 9), S2BddConfig::default(), 0, &roomy);
         assert_eq!(plan.solver, PartSolver::Enumeration);
     }

@@ -92,7 +92,7 @@
 
 use crate::{
     Engine, EngineError, IndexPatch, Mutation, MutationOutcome, PlanBudget, PlannedQuery, Policy,
-    Recorder, ReliabilityAnswer,
+    ReliabilityAnswer,
 };
 use netrel_core::{ProConfig, SemanticsSpec};
 use netrel_numeric::ConfidenceLevel;
@@ -115,12 +115,7 @@ pub struct Service {
 
 impl Default for Service {
     fn default() -> Self {
-        // The service enables metrics by default: a server that cannot be
-        // observed is the wrong default, and recording is near-free.
-        Service::new(Engine::with_recorder(
-            crate::EngineConfig::default(),
-            Recorder::enabled(),
-        ))
+        Service::new(Engine::new(crate::EngineConfig::default()))
     }
 }
 
@@ -139,19 +134,15 @@ impl Service {
     /// newline). Never panics on malformed input — parse and protocol
     /// errors come back as `{"ok":false,"error":...}` responses.
     pub fn handle_line(&mut self, line: &str) -> String {
-        let metrics = self.engine.recorder().metrics().cloned();
-        let t0 = metrics.as_ref().map(|_| Instant::now());
+        let t0 = Instant::now();
         let response = match serde_json::from_str::<Value>(line) {
             Ok(request) => self.dispatch(&request).unwrap_or_else(err_response),
             Err(e) => err_response(format!("invalid JSON: {e}")),
         };
-        if let Some(m) = &metrics {
-            if let Some(t0) = t0 {
-                m.request_seconds.observe_duration(t0.elapsed());
-            }
-            if response.get("ok") == Some(&Value::Bool(false)) {
-                m.request_errors.inc();
-            }
+        let m = self.engine.recorder().metrics();
+        m.request_seconds.observe_duration(t0.elapsed());
+        if response.get("ok") == Some(&Value::Bool(false)) {
+            m.request_errors.inc();
         }
         serde_json::to_string(&response).unwrap_or_else(|_| {
             r#"{"ok":false,"error":"internal: response rendering failed"}"#.to_string()
@@ -160,25 +151,24 @@ impl Service {
 
     fn dispatch(&mut self, request: &Value) -> Result<Value, String> {
         let op = str_field(request, "op")?;
-        if let Some(m) = self.engine.recorder().metrics() {
-            match op {
-                "register" => m.requests_register.inc(),
-                "query" => m.requests_query.inc(),
-                "batch" => m.requests_batch.inc(),
-                "stats" => m.requests_stats.inc(),
-                "metrics" => m.requests_metrics.inc(),
-                "mutate" => m.requests_mutate.inc(),
-                "whatif" => m.requests_whatif.inc(),
-                "maximize" => m.requests_maximize.inc(),
-                _ => {}
-            }
+        let m = self.engine.recorder().metrics();
+        match op {
+            "register" => m.requests_register.inc(),
+            "query" => m.requests_query.inc(),
+            "batch" => m.requests_batch.inc(),
+            "stats" => m.requests_stats.inc(),
+            "metrics" => m.requests_metrics.inc(),
+            "mutate" => m.requests_mutate.inc(),
+            "whatif" => m.requests_whatif.inc(),
+            "maximize" => m.requests_maximize.inc(),
+            _ => {}
         }
         match op {
             "register" => self.op_register(request),
             "query" => self.op_query(request),
             "batch" => self.op_batch(request),
             "stats" => Ok(self.op_stats()),
-            "metrics" => self.op_metrics(),
+            "metrics" => Ok(self.op_metrics()),
             "mutate" => self.op_mutate(request),
             "whatif" => self.op_whatif(request),
             "maximize" => self.op_maximize(request),
@@ -289,17 +279,14 @@ impl Service {
         ])
     }
 
-    fn op_metrics(&self) -> Result<Value, String> {
-        let snapshot = self
-            .engine
-            .metrics_snapshot()
-            .ok_or("metrics are disabled on this engine (no recorder installed)")?;
-        Ok(Value::Map(vec![
+    fn op_metrics(&self) -> Value {
+        let snapshot = self.engine.metrics_snapshot();
+        Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("metrics".into())),
             ("prometheus".into(), Value::Str(snapshot.to_prometheus())),
             ("metrics".into(), snapshot.to_value()),
-        ]))
+        ])
     }
 
     fn op_mutate(&mut self, request: &Value) -> Result<Value, String> {
@@ -1092,11 +1079,6 @@ mod tests {
         assert_eq!(m.get("queries_planned"), Some(&Value::U64(2)));
         let routes = m.get("routes").expect("route counts present");
         assert!(matches!(routes.get("exact"), Some(Value::U64(n)) if *n >= 1));
-
-        // An engine without a recorder reports metrics as unavailable.
-        let mut bare = Service::new(Engine::new(crate::EngineConfig::default()));
-        let v = parse(&bare.handle_line(r#"{"op":"metrics"}"#));
-        assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Bit-identity regression suite for the observability layer: an engine
-//! with a live [`Recorder`] (and per-query tracing) must return answers
-//! byte-identical to an uninstrumented engine, across all five semantics
-//! and both the fixed and budgeted routing policies. Instrumentation reads
-//! clocks and bumps atomics — it must never touch an RNG or reorder work.
+//! Bit-identity regression suite for the observability layer. Every engine
+//! records metrics, so the plain reference is the one-shot
+//! [`semantics_reliability`], which holds no recorder: fixed-policy answers
+//! from a recording engine with per-query tracing must equal it bit for
+//! bit, across all five semantics, after each mutation and for a what-if.
+//! Budgeted answers have no one-shot twin, so there a traced query is
+//! compared with an untraced one. Instrumentation reads clocks and bumps
+//! atomics — it must never touch an RNG or reorder work.
 
-use netrel_core::{ProConfig, SemanticsSpec};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Recorder};
+use netrel_core::{semantics_reliability, ProConfig, SemanticsSpec};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, ReliabilityAnswer};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
 
@@ -53,41 +56,50 @@ fn five_semantics() -> Vec<(SemanticsSpec, Vec<usize>)> {
     ]
 }
 
+/// Traced fixed-policy queries over the five semantics.
+fn traced_fixed_queries() -> Vec<PlannedQuery> {
+    five_semantics()
+        .into_iter()
+        .map(|(s, t)| PlannedQuery::fixed(s, t, sampling_cfg(11)).with_trace())
+        .collect()
+}
+
+/// `answer` to `query` on `g` equals the one-shot pipeline bit for bit.
+fn assert_matches_one_shot(g: &UncertainGraph, query: &PlannedQuery, answer: &ReliabilityAnswer) {
+    let plain = semantics_reliability(g, query.semantics, &query.terminals, query.config).unwrap();
+    let what = query.semantics;
+    assert_eq!(
+        answer.estimate.to_bits(),
+        plain.estimate.to_bits(),
+        "{what:?}"
+    );
+    assert_eq!(answer.lower_bound.to_bits(), plain.lower_bound.to_bits());
+    assert_eq!(answer.upper_bound.to_bits(), plain.upper_bound.to_bits());
+    assert_eq!(
+        answer.variance_estimate.to_bits(),
+        plain.variance_estimate.to_bits()
+    );
+    assert_eq!(answer.samples_used, plain.samples_used);
+    assert_eq!(answer.exact, plain.exact);
+}
+
 #[test]
 fn classic_answers_are_bit_identical_under_instrumentation() {
-    let queries: Vec<PlannedQuery> = five_semantics()
-        .into_iter()
-        .map(|(s, t)| PlannedQuery::fixed(s, t, sampling_cfg(11)))
-        .collect();
     // Tracing on top of metrics: the maximally-instrumented path.
-    let traced: Vec<PlannedQuery> = queries.iter().map(|q| q.clone().with_trace()).collect();
+    let queries = traced_fixed_queries();
+    let mut engine = Engine::new(EngineConfig::default());
+    let id = engine.register("g", lollipop());
 
-    let mut plain = Engine::new(EngineConfig::default());
-    let pid = plain.register("g", lollipop());
-    let mut inst = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
-    let iid = inst.register("g", lollipop());
-
-    let a = plain.run_planned_batch(pid, &queries).unwrap();
-    let b = inst.run_planned_batch(iid, &traced).unwrap();
-    for (q, (x, y)) in queries.iter().zip(a.iter().zip(&b)) {
-        let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-        assert_eq!(
-            x.estimate.to_bits(),
-            y.estimate.to_bits(),
-            "{:?}",
-            q.semantics
-        );
-        assert_eq!(x.lower_bound.to_bits(), y.lower_bound.to_bits());
-        assert_eq!(x.upper_bound.to_bits(), y.upper_bound.to_bits());
-        assert_eq!(x.variance_estimate.to_bits(), y.variance_estimate.to_bits());
-        assert_eq!(x.samples_used, y.samples_used);
-        assert_eq!(x.exact, y.exact);
-        let trace = y.trace.as_ref().expect("traced query carries a span tree");
+    let answers = engine.run_planned_batch(id, &queries).unwrap();
+    for (q, a) in queries.iter().zip(&answers) {
+        let a = a.as_ref().unwrap();
+        assert_matches_one_shot(&lollipop(), q, a);
+        let trace = a.trace.as_ref().expect("traced query carries a span tree");
         assert!(trace.find("query").is_some());
         assert!(trace.find("combine").is_some(), "{:?}", q.semantics);
     }
-    // The recorder actually recorded: this was not a no-op comparison.
-    let m = inst.metrics_snapshot().unwrap();
+    // The recorder actually recorded the traced batch.
+    let m = engine.metrics_snapshot();
     assert_eq!(m.queries_classic, queries.len() as u64);
     assert!(m.jobs > 0);
 }
@@ -95,17 +107,18 @@ fn classic_answers_are_bit_identical_under_instrumentation() {
 #[test]
 fn planned_answers_are_bit_identical_under_instrumentation_and_tracing() {
     let cases = five_semantics();
-    let mut plain = Engine::new(EngineConfig::default());
-    let pid = plain.register("g", lollipop());
-    let mut inst = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
-    let iid = inst.register("g", lollipop());
+    // Separate engines, so the traced query cannot be served from the
+    // untraced one's cache entries.
+    let mut untraced = Engine::new(EngineConfig::default());
+    let uid = untraced.register("g", lollipop());
+    let mut traced = Engine::new(EngineConfig::default());
+    let tid = traced.register("g", lollipop());
 
     for (spec, terminals) in cases {
         let q =
             PlannedQuery::with_semantics(spec, terminals, sampling_cfg(11), PlanBudget::default());
-        let x = plain.run_planned(pid, &q).unwrap();
-        // Tracing on top of metrics: the maximally-instrumented path.
-        let y = inst.run_planned(iid, &q.clone().with_trace()).unwrap();
+        let x = untraced.run_planned(uid, &q).unwrap();
+        let y = traced.run_planned(tid, &q.clone().with_trace()).unwrap();
         assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{spec:?}");
         assert_eq!(x.lower_bound.to_bits(), y.lower_bound.to_bits());
         assert_eq!(x.upper_bound.to_bits(), y.upper_bound.to_bits());
@@ -123,14 +136,14 @@ fn planned_answers_are_bit_identical_under_instrumentation_and_tracing() {
 #[test]
 fn bit_sampling_path_is_bit_identical_under_instrumentation_and_tracing() {
     // A 45-clique routes to the bit-parallel sampler (frontier width > 40)
-    // for both plain and hop-bounded semantics; the maximally-instrumented
-    // engine must return byte-identical answers while actually recording
-    // the packed route and its lane-utilization histogram.
+    // for both plain and hop-bounded semantics; a traced query must return
+    // the untraced answer byte for byte while the recorder counts the
+    // packed route and its lane-utilization histogram.
     let g = netrel_datasets::clique(45);
-    let mut plain = Engine::new(EngineConfig::default());
-    let pid = plain.register("clique45", g.clone());
-    let mut inst = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
-    let iid = inst.register("clique45", g);
+    let mut untraced = Engine::new(EngineConfig::default());
+    let uid = untraced.register("clique45", g.clone());
+    let mut traced = Engine::new(EngineConfig::default());
+    let tid = traced.register("clique45", g);
 
     for (spec, terminals) in [
         (SemanticsSpec::KTerminal, vec![0, 44]),
@@ -138,8 +151,8 @@ fn bit_sampling_path_is_bit_identical_under_instrumentation_and_tracing() {
     ] {
         let q =
             PlannedQuery::with_semantics(spec, terminals, sampling_cfg(11), PlanBudget::default());
-        let x = plain.run_planned(pid, &q).unwrap();
-        let y = inst.run_planned(iid, &q.clone().with_trace()).unwrap();
+        let x = untraced.run_planned(uid, &q).unwrap();
+        let y = traced.run_planned(tid, &q.clone().with_trace()).unwrap();
         assert!(
             x.routes.contains(&netrel_engine::Route::BitSampling),
             "{spec:?} must route to the packed sampler: {:?}",
@@ -163,7 +176,7 @@ fn bit_sampling_path_is_bit_identical_under_instrumentation_and_tracing() {
             "trace must name the packed route: {routes_attr:?}"
         );
     }
-    let m = inst.metrics_snapshot().unwrap();
+    let m = traced.metrics_snapshot();
     assert!(m.routes.bit_sampling >= 2, "{:?}", m.routes);
     assert!(
         m.bit_lane_utilization_percent.count >= 2,
@@ -217,9 +230,9 @@ fn trace_spans_are_well_formed_and_round_trip_through_serde() {
 fn mutation_path_is_bit_identical_under_instrumentation() {
     use netrel_engine::Mutation;
 
-    // The same mutation sequence on an instrumented and an uninstrumented
-    // engine: every outcome and every post-step answer must match bit for
-    // bit, and the mutation counters must actually move.
+    // After each committed mutation, every traced answer equals the
+    // one-shot pipeline on the engine's current graph; the what-if equals
+    // it on the hypothetical graph; and the mutation counters move.
     let mutations = [
         Mutation::UpdateProb { edge: 2, p: 0.45 },
         Mutation::AddEdge {
@@ -229,42 +242,26 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
         },
         Mutation::RemoveEdge { edge: 5 },
     ];
-    let queries: Vec<PlannedQuery> = five_semantics()
-        .into_iter()
-        .map(|(s, t)| PlannedQuery::with_semantics(s, t, sampling_cfg(11), PlanBudget::default()))
-        .collect();
+    let queries = traced_fixed_queries();
+    let mut engine = Engine::new(EngineConfig::default());
+    let id = engine.register("g", lollipop());
 
-    let mut plain = Engine::new(EngineConfig::default());
-    let pid = plain.register("g", lollipop());
-    let mut inst = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
-    let iid = inst.register("g", lollipop());
-
-    for (step, m) in mutations.iter().enumerate() {
-        let x = plain.apply_mutation(pid, *m).unwrap();
-        let y = inst.apply_mutation(iid, *m).unwrap();
-        assert_eq!(x.edge, y.edge, "step {step}");
-        assert_eq!(x.patch, y.patch, "step {step}");
-        assert_eq!(x.invalidated_plans, y.invalidated_plans, "step {step}");
-        assert_eq!(x.invalidated_worlds, y.invalidated_worlds, "step {step}");
-        let a = plain.run_planned_batch(pid, &queries).unwrap();
-        let b = inst.run_planned_batch(iid, &queries).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-            assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "step {step}");
-            assert_eq!(x.ci.lower.to_bits(), y.ci.lower.to_bits());
-            assert_eq!(x.ci.upper.to_bits(), y.ci.upper.to_bits());
-            assert_eq!(x.samples_used, y.samples_used);
-            assert_eq!(x.routes, y.routes);
+    for m in mutations {
+        engine.apply_mutation(id, m).unwrap();
+        let g = engine.graph(id).unwrap();
+        let answers = engine.run_planned_batch(id, &queries).unwrap();
+        for (q, a) in queries.iter().zip(&answers) {
+            assert_matches_one_shot(g, q, a.as_ref().unwrap());
         }
     }
-    // The what-if path under instrumentation, against the plain engine.
     let q = &queries[0];
     let hyp = [Mutation::UpdateProb { edge: 0, p: 0.2 }];
-    let x = plain.evaluate_with(pid, &hyp, q).unwrap();
-    let y = inst.evaluate_with(iid, &hyp, q).unwrap();
-    assert_eq!(x.estimate.to_bits(), y.estimate.to_bits());
+    let mut hypothetical = engine.graph(id).unwrap().clone();
+    hypothetical.update_edge_prob(0, 0.2).unwrap();
+    let a = engine.evaluate_with(id, &hyp, q).unwrap();
+    assert_matches_one_shot(&hypothetical, q, &a);
 
-    let m = inst.metrics_snapshot().unwrap();
+    let m = engine.metrics_snapshot();
     assert_eq!(m.mutations_update_prob, 1);
     assert_eq!(m.mutations_add_edge, 1);
     assert_eq!(m.mutations_remove_edge, 1);
@@ -275,21 +272,15 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
 #[test]
 fn worker_count_does_not_change_instrumented_answers() {
     let q = PlannedQuery::with_config(vec![0, 7], sampling_cfg(5), PlanBudget::default());
-    let mut seq = Engine::with_recorder(
-        EngineConfig {
-            workers: 1,
-            plan_cache_capacity: 0,
-        },
-        Recorder::enabled(),
-    );
+    let mut seq = Engine::new(EngineConfig {
+        workers: 1,
+        plan_cache_capacity: 0,
+    });
     let sid = seq.register("g", lollipop());
-    let mut par = Engine::with_recorder(
-        EngineConfig {
-            workers: 8,
-            plan_cache_capacity: 0,
-        },
-        Recorder::enabled(),
-    );
+    let mut par = Engine::new(EngineConfig {
+        workers: 8,
+        plan_cache_capacity: 0,
+    });
     let pid = par.register("g", lollipop());
     let a = seq.run_planned(sid, &q.clone().with_trace()).unwrap();
     let b = par.run_planned(pid, &q.with_trace()).unwrap();

@@ -24,7 +24,5 @@ pub mod widefloat;
 
 pub use fxhash::FxBuildHasher;
 pub use kahan::NeumaierSum;
-pub use stats::{
-    accuracy, histogram_quantile, normal_ci, AccuracyReport, ConfidenceInterval, ConfidenceLevel,
-};
+pub use stats::{accuracy, normal_ci, AccuracyReport, ConfidenceInterval, ConfidenceLevel};
 pub use widefloat::WideFloat;

@@ -1,5 +1,4 @@
-//! Confidence intervals, histogram quantiles, and the paper's accuracy
-//! metrics.
+//! Confidence intervals and the paper's accuracy metrics.
 
 use crate::kahan::NeumaierSum;
 
@@ -170,76 +169,12 @@ pub fn accuracy(per_search: &[(f64, Vec<f64>)]) -> AccuracyReport {
     }
 }
 
-/// Approximate `q`-quantile of a fixed-bucket histogram, Prometheus style.
-///
-/// `edges` are ascending bucket upper bounds; `counts` are per-bucket
-/// (non-cumulative) observation counts with one extra trailing entry for the
-/// implicit `+Inf` bucket (`counts.len() == edges.len() + 1`). The quantile
-/// is located by cumulative rank and linearly interpolated within the
-/// containing bucket, assuming a uniform spread between the bucket's bounds
-/// (the first bucket interpolates from 0; a rank landing in the `+Inf`
-/// bucket returns the last finite edge, the histogram's best lower bound).
-/// Returns `NaN` for an empty histogram or malformed inputs.
-pub fn histogram_quantile(edges: &[f64], counts: &[u64], q: f64) -> f64 {
-    if counts.len() != edges.len() + 1 || !(0.0..=1.0).contains(&q) {
-        return f64::NAN;
-    }
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return f64::NAN;
-    }
-    let rank = q * total as f64;
-    let mut cumulative = 0.0f64;
-    for (i, &c) in counts.iter().enumerate() {
-        let next = cumulative + c as f64;
-        if rank <= next && c > 0 {
-            if i >= edges.len() {
-                // +Inf bucket: the last finite edge is all we know.
-                return edges.last().copied().unwrap_or(f64::NAN);
-            }
-            let lo = if i == 0 { 0.0 } else { edges[i - 1] };
-            let hi = edges[i];
-            let frac = ((rank - cumulative) / c as f64).clamp(0.0, 1.0);
-            return lo + (hi - lo) * frac;
-        }
-        cumulative = next;
-    }
-    edges.last().copied().unwrap_or(f64::NAN)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12 * (1.0 + a.abs().max(b.abs()))
-    }
-
-    #[test]
-    fn histogram_quantile_interpolates_within_buckets() {
-        let edges = [1.0, 2.0, 4.0];
-        // 10 obs in (0,1], 10 in (1,2], 0 in (2,4], 0 beyond.
-        let counts = [10, 10, 0, 0];
-        assert!(close(histogram_quantile(&edges, &counts, 0.5), 1.0));
-        assert!(close(histogram_quantile(&edges, &counts, 0.25), 0.5));
-        assert!(close(histogram_quantile(&edges, &counts, 0.75), 1.5));
-        assert!(close(histogram_quantile(&edges, &counts, 1.0), 2.0));
-    }
-
-    #[test]
-    fn histogram_quantile_edge_cases() {
-        let edges = [1.0, 2.0];
-        assert!(histogram_quantile(&edges, &[0, 0, 0], 0.5).is_nan());
-        assert!(
-            histogram_quantile(&edges, &[1, 1], 0.5).is_nan(),
-            "length mismatch"
-        );
-        assert!(
-            histogram_quantile(&edges, &[1, 0, 0], 2.0).is_nan(),
-            "q out of range"
-        );
-        // Everything in +Inf: best lower bound is the last finite edge.
-        assert!(close(histogram_quantile(&edges, &[0, 0, 5], 0.5), 2.0));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!    single answer bit. Everything here is passive: atomic counters,
 //!    fixed-bucket histograms, and span builders that record monotonic
 //!    timestamps ([`std::time::Instant`], never wall clocks).
-//! 2. **Near-free when disabled** — the no-op [`Recorder`] is an `Option`
-//!    that is `None`; every record site is an inlined `if let Some` on an
-//!    `Arc`, and the thread-local trace hook ([`trace::span`]) is a
-//!    single thread-local read when no trace is installed.
+//! 2. **One recorded path** — every engine holds a live [`Recorder`], so
+//!    the path that serves traffic is the one that tests and benchmarks
+//!    measure; record sites are plain atomic adds on an `Arc`. Per-query
+//!    tracing stays opt-in: the thread-local trace hook ([`trace::span`])
+//!    is a single thread-local read when no trace is installed.
 //!
 //! Three layers:
 //!

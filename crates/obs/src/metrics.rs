@@ -2,8 +2,8 @@
 //!
 //! The catalogue is a *fixed struct*, not a dynamic registry: every family
 //! the stack records is a named field of [`Metrics`], so a metric cannot be
-//! misspelled at a record site, snapshotting is a plain field walk, and the
-//! disabled path has no map lookups. Families follow Prometheus naming
+//! misspelled at a record site, and recording and snapshotting are plain
+//! field accesses with no map lookups. Families follow Prometheus naming
 //! (`netrel_<subsystem>_<name>[_total|_seconds]`) and the text exposition
 //! renders the standard `_bucket{le=…}` / `_sum` / `_count` triple per
 //! histogram.
@@ -171,24 +171,6 @@ pub struct HistogramSnapshot {
     pub sum: f64,
     /// Total observations.
     pub count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Approximate `q`-quantile via [`netrel_numeric::histogram_quantile`]
-    /// (linear interpolation within the containing bucket, Prometheus
-    /// style).
-    pub fn quantile(&self, q: f64) -> f64 {
-        netrel_numeric::histogram_quantile(&self.edges, &self.counts, q)
-    }
 }
 
 /// The fixed metric catalogue for the whole stack. Record sites live in
@@ -649,41 +631,30 @@ fn push_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
     let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
-/// A cloneable handle to a shared [`Metrics`] catalogue — or the no-op.
+/// A cloneable handle to a shared [`Metrics`] catalogue.
 ///
-/// The disabled recorder is a `None`; every record site compiles to one
-/// branch on the option, so the uninstrumented hot path pays (near) nothing
-/// and, critically, *cannot* change behavior: the recorder owns no RNG and
-/// no scheduling decision, only counters and clocks.
-#[derive(Clone, Debug, Default)]
-pub struct Recorder(Option<Arc<Metrics>>);
+/// Every engine records: the served path is the one that runs, so there is
+/// no second, unrecorded mode to keep equal to it. Recording cannot change
+/// behavior: the recorder owns no RNG and no scheduling decision, only
+/// counters and clocks.
+#[derive(Clone, Debug)]
+pub struct Recorder(Arc<Metrics>);
 
 impl Recorder {
-    /// The static no-op recorder: records nothing, costs one branch.
-    pub fn noop() -> Self {
-        Recorder(None)
-    }
-
-    /// A live recorder over a fresh catalogue.
+    /// A recorder over a fresh catalogue.
     pub fn enabled() -> Self {
-        Recorder(Some(Arc::new(Metrics::new())))
+        Recorder(Arc::new(Metrics::new()))
     }
 
-    /// The catalogue, if recording.
+    /// The catalogue.
     #[inline]
-    pub fn metrics(&self) -> Option<&Arc<Metrics>> {
-        self.0.as_ref()
+    pub fn metrics(&self) -> &Metrics {
+        &self.0
     }
 
-    /// Whether this recorder records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Snapshot the catalogue (`None` for the no-op recorder).
-    pub fn snapshot(&self) -> Option<MetricsSnapshot> {
-        self.0.as_ref().map(|m| m.snapshot())
+    /// Snapshot the catalogue.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.0.snapshot()
     }
 }
 
@@ -737,23 +708,6 @@ mod tests {
         for w in COUNT_EDGES.windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn snapshot_quantiles_interpolate() {
-        let h = Histogram::with_edges(&[1.0, 2.0, 4.0]);
-        for _ in 0..50 {
-            h.observe(0.5);
-        }
-        for _ in 0..50 {
-            h.observe(3.0);
-        }
-        let s = h.snapshot();
-        let p25 = s.quantile(0.25);
-        let p75 = s.quantile(0.75);
-        assert!(p25 <= 1.0, "{p25}");
-        assert!((2.0..=4.0).contains(&p75), "{p75}");
-        assert!((s.mean() - 1.75).abs() < 1e-9);
     }
 
     #[test]
@@ -837,14 +791,34 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_reports_disabled() {
-        assert!(!Recorder::noop().is_enabled());
-        assert!(Recorder::noop().snapshot().is_none());
-        let r = Recorder::enabled();
-        assert!(r.is_enabled());
-        if let Some(m) = r.metrics() {
-            m.jobs.inc();
-        }
-        assert_eq!(r.snapshot().unwrap().jobs, 1);
+    fn documented_catalogue_matches_the_exposition() {
+        let doc = include_str!("../../../docs/observability.md");
+        let section = doc
+            .split("## Metric catalogue")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("docs/observability.md has a metric catalogue section");
+        // Each table row is `| families | kind | meaning |`; a row may name
+        // several backticked families, each with an optional label set.
+        let documented: Vec<(&str, &str)> = section
+            .lines()
+            .filter(|row| row.starts_with("| `netrel_"))
+            .flat_map(|row| {
+                let cells: Vec<&str> = row.split(" | ").collect();
+                let kind = cells[1];
+                cells[0]
+                    .split('`')
+                    .skip(1)
+                    .step_by(2)
+                    .map(move |f| (f.split('{').next().unwrap_or(f), kind))
+            })
+            .collect();
+        let text = Metrics::new().snapshot().to_prometheus();
+        let exposed: Vec<(&str, &str)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .collect();
+        assert_eq!(documented, exposed);
     }
 }

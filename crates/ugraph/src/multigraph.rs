@@ -5,7 +5,7 @@
 //! rather than on the simple [`UncertainGraph`]. Edges are tombstoned on
 //! removal; adjacency lists are cleaned lazily.
 
-use crate::error::{GraphError, Result};
+use crate::error::Result;
 use crate::graph::{UncertainGraph, VertexId};
 
 /// A multigraph edge; `u == v` encodes a self-loop.
@@ -123,7 +123,8 @@ impl MultiGraph {
 
     /// Convert to a simple [`UncertainGraph`], dropping isolated vertices.
     ///
-    /// Fails with [`GraphError::SelfLoop`] / [`GraphError::DuplicateEdge`] if
+    /// Fails with [`SelfLoop`](crate::GraphError::SelfLoop) /
+    /// [`DuplicateEdge`](crate::GraphError::DuplicateEdge) if
     /// loops or parallel edges remain (the transform fixpoint guarantees they
     /// don't). Returns the graph and the old→new vertex map.
     pub fn to_uncertain(&self) -> Result<(UncertainGraph, Vec<Option<VertexId>>)> {
@@ -152,12 +153,6 @@ impl MultiGraph {
             .collect();
         let g = UncertainGraph::new(next, edge_list)?;
         Ok((g, map))
-    }
-
-    /// Convert keeping *all* vertices (including isolated ones), without
-    /// renumbering. Fails on residual loops/parallels like `to_uncertain`.
-    pub fn to_uncertain_dense(&self) -> std::result::Result<UncertainGraph, GraphError> {
-        UncertainGraph::new(self.n, self.live_edges().map(|(_, e)| (e.u, e.v, e.p)))
     }
 }
 
@@ -227,8 +222,8 @@ mod tests {
         let g = UncertainGraph::new(3, [(0, 1, 0.5), (1, 2, 0.6)]).unwrap();
         let mg = MultiGraph::from_uncertain(&g);
         assert_eq!(mg.num_edges(), 2);
-        let g2 = mg.to_uncertain_dense().unwrap();
-        assert_eq!(g2.num_vertices(), 3);
-        assert_eq!(g2.num_edges(), 2);
+        let (g2, map) = mg.to_uncertain().unwrap();
+        assert_eq!(map, vec![Some(0), Some(1), Some(2)]);
+        assert_eq!(g2.edges(), g.edges());
     }
 }

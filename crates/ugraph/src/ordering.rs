@@ -19,11 +19,6 @@ pub enum EdgeOrder {
     Bfs,
     /// Depth-first order from a start vertex.
     Dfs,
-    /// Degeneracy (min-degree elimination) vertex order with edges grouped
-    /// by their later endpoint. Tracks pathwidth far better than BFS on
-    /// dense social graphs (e.g. the karate club: width 9 vs 17), which is
-    /// what makes exact diagrams feasible there.
-    Degeneracy,
 }
 
 /// Compute an edge processing order. `start` seeds the traversal orders; the
@@ -34,56 +29,7 @@ pub fn edge_order(g: &UncertainGraph, strategy: EdgeOrder, start: VertexId) -> V
         EdgeOrder::Input => (0..g.num_edges()).collect(),
         EdgeOrder::Bfs => traversal_order(g, start, false),
         EdgeOrder::Dfs => traversal_order(g, start, true),
-        EdgeOrder::Degeneracy => degeneracy_order(g),
     }
-}
-
-/// Min-degree (degeneracy) elimination order over vertices; edges sorted by
-/// the *later* endpoint's position, ties by the earlier endpoint. A vertex
-/// then stays in the frontier only between its first and last neighbor in
-/// elimination order, approximating a small vertex separation.
-fn degeneracy_order(g: &UncertainGraph) -> Vec<EdgeId> {
-    let n = g.num_vertices();
-    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-    let mut removed = vec![false; n];
-    // Simple bucket queue over degrees.
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); n.max(1)];
-    for v in 0..n {
-        buckets[deg[v].min(n.saturating_sub(1))].push(v);
-    }
-    let mut pos = vec![0usize; n];
-    let mut order_idx = 0usize;
-    let mut cursor = 0usize;
-    while order_idx < n {
-        // Find the lowest non-empty bucket (cursor can go back down by 1
-        // after each removal, so rewind conservatively).
-        cursor = cursor.saturating_sub(1);
-        while buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        let Some(v) = buckets[cursor].pop() else {
-            continue;
-        };
-        if removed[v] || deg[v].min(n - 1) != cursor {
-            continue; // stale bucket entry
-        }
-        removed[v] = true;
-        pos[v] = order_idx;
-        order_idx += 1;
-        for &(w, _) in g.neighbors(v) {
-            if !removed[w] {
-                deg[w] -= 1;
-                buckets[deg[w].min(n - 1)].push(w);
-            }
-        }
-    }
-    let mut ids: Vec<EdgeId> = (0..g.num_edges()).collect();
-    ids.sort_by_key(|&e| {
-        let ed = g.edge(e);
-        let (a, b) = (pos[ed.u], pos[ed.v]);
-        (a.max(b), a.min(b))
-    });
-    ids
 }
 
 /// Width during layer `l` counts vertices with `first <= l <= last`
@@ -254,12 +200,7 @@ mod tests {
     #[test]
     fn orders_are_permutations() {
         let g = grid2x3();
-        for strat in [
-            EdgeOrder::Input,
-            EdgeOrder::Bfs,
-            EdgeOrder::Dfs,
-            EdgeOrder::Degeneracy,
-        ] {
+        for strat in [EdgeOrder::Input, EdgeOrder::Bfs, EdgeOrder::Dfs] {
             let mut o = edge_order(&g, strat, 0);
             o.sort_unstable();
             assert_eq!(o, (0..g.num_edges()).collect::<Vec<_>>(), "{strat:?}");
@@ -321,7 +262,7 @@ mod tests {
     #[test]
     fn layer_widths_profile_matches_max_and_oracle() {
         let g = grid2x3();
-        for strat in [EdgeOrder::Input, EdgeOrder::Bfs, EdgeOrder::Degeneracy] {
+        for strat in [EdgeOrder::Input, EdgeOrder::Bfs, EdgeOrder::Dfs] {
             let plan = FrontierPlan::for_strategy(&g, strat, 0);
             let widths: Vec<usize> = plan.layer_widths().collect();
             assert_eq!(widths.len(), plan.layers());
@@ -377,7 +318,7 @@ mod tests {
         #[test]
         fn max_width_matches_oracle(
             edges in proptest::collection::vec((0usize..9, 0usize..9), 1..18),
-            strat_idx in 0usize..4,
+            strat_idx in 0usize..3,
         ) {
             let mut seen = std::collections::HashSet::new();
             let list: Vec<(usize, usize, f64)> = edges
@@ -390,7 +331,7 @@ mod tests {
                 .collect();
             proptest::prop_assume!(!list.is_empty());
             let g = UncertainGraph::new(9, list).unwrap();
-            let strat = [EdgeOrder::Input, EdgeOrder::Bfs, EdgeOrder::Dfs, EdgeOrder::Degeneracy][strat_idx];
+            let strat = [EdgeOrder::Input, EdgeOrder::Bfs, EdgeOrder::Dfs][strat_idx];
             let plan = FrontierPlan::for_strategy(&g, strat, 0);
             proptest::prop_assert_eq!(plan.max_width, naive_max_width(&g, &plan));
         }
