@@ -5,20 +5,14 @@
 //! guarantees the result is connected and simple (no loops, no parallels).
 
 pub mod affiliation;
-pub mod ba;
 pub mod coauthor;
-pub mod er;
 pub mod grid;
 pub mod ppi;
-pub mod ws;
 
 pub use affiliation::affiliation;
-pub use ba::barabasi_albert;
 pub use coauthor::coauthor;
-pub use er::erdos_renyi;
 pub use grid::road_grid;
 pub use ppi::protein_interaction;
-pub use ws::watts_strogatz;
 
 use netrel_ugraph::Dsu;
 use rand::Rng;

@@ -34,19 +34,13 @@ fn edges_bytes(edges: &[(usize, usize, f64)]) -> Vec<u8> {
 fn raw_generators_byte_identical_across_invocations() {
     for seed in [0u64, 1, 7, 0xDEAD_BEEF] {
         let cases: NamedEdgeLists = vec![
-            ("er", gen::erdos_renyi(64, 150, seed)),
-            ("ba", gen::barabasi_albert(64, 3, seed)),
             ("grid", gen::road_grid(8, 8, 2.4, seed)),
-            ("ws", gen::watts_strogatz(64, 2, 0.1, seed)),
             ("coauthor", gen::coauthor(96, 6.0, seed)),
             ("affiliation", gen::affiliation(70, 10, 90, seed)),
             ("ppi", gen::protein_interaction(96, 8.0, seed)),
         ];
         let replay: Vec<Vec<(usize, usize, f64)>> = vec![
-            gen::erdos_renyi(64, 150, seed),
-            gen::barabasi_albert(64, 3, seed),
             gen::road_grid(8, 8, 2.4, seed),
-            gen::watts_strogatz(64, 2, 0.1, seed),
             gen::coauthor(96, 6.0, seed),
             gen::affiliation(70, 10, 90, seed),
             gen::protein_interaction(96, 8.0, seed),

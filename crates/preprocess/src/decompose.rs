@@ -52,7 +52,7 @@ pub fn decompose_with_index(
     let node_terminal = index.terminal_marks(terminals);
     let st = steiner_subtree(&index.forest_adj, &node_terminal);
     // `steiner_subtree` reports kept forest edges by their labels, which
-    // `BridgeForest` sets to the original bridge edge ids.
+    // `GraphIndex::build` sets to the original bridge edge ids.
     let relevant_bridges: Vec<usize> = st.keep_edge.clone();
 
     let mut pb = 1.0f64;

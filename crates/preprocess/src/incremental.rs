@@ -2,12 +2,13 @@
 //!
 //! A mutated graph could always rebuild its index from scratch, but the
 //! paper's decomposition makes most mutations *local*: a probability
-//! update touches no structure at all, and an edge added or removed
-//! inside a 2-edge-connected component can change bridges and
-//! articulation points only within that component. The patch functions
-//! here exploit exactly that locality and fall back to a full rebuild
-//! whenever a mutation merges or splits components (a new bridge, a
-//! removed bridge, or an inter-component edge).
+//! update touches no structure at all, an edge added inside a
+//! 2-edge-connected component changes nothing but its own bridge flag, and
+//! an edge removed from inside one either leaves the partition as it was or
+//! splits that component. The patch functions here exploit exactly that
+//! locality and fall back to a full rebuild whenever a mutation merges or
+//! splits components (a new bridge, a removed bridge, or an
+//! inter-component edge).
 //!
 //! The contract — enforced by the property tests below and by the
 //! engine's rebuild-equivalence suite — is that a patched index is
@@ -19,11 +20,8 @@
 //! * Any cycle through an edge lies entirely inside one 2ECC (a cycle
 //!   cannot cross a bridge), so bridge-ness of an edge in component `C`
 //!   equals its bridge-ness in the induced subgraph `G[C]`.
-//! * A vertex `v` in component `C` is an articulation point of `G` iff it
-//!   is one of `G[C]` or has an incident bridge (for `|C| >= 2`), resp.
-//!   iff it has two or more incident bridges (for `|C| == 1`): the bridge
-//!   forest is a tree, so every path from a bridge-attached subtree into
-//!   `C` runs through its attachment vertex.
+//! * `forest_adj` lists bridges in ascending edge id, and shifting every id
+//!   above a removed edge down by one keeps that order.
 
 // Answer-affecting region (docs/lints.md): no clock reads, thread-count
 // probes or hash-order iteration.
@@ -58,19 +56,16 @@ pub fn patch_update_prob(_index: &mut GraphIndex) -> IndexPatch {
 ///
 /// If both endpoints lie in the same 2ECC the new edge cannot be a
 /// bridge, cannot change any other edge's bridge-ness (every new cycle it
-/// closes stays inside the component), and cannot relabel components —
-/// only articulation points inside that component move, which a local
-/// recompute fixes. Any inter-component edge merges forest nodes or links
-/// forest trees: full rebuild.
+/// closes stays inside the component), and cannot relabel components, so
+/// the patch only appends its flag. Any inter-component edge merges forest
+/// nodes or links forest trees: full rebuild.
 pub fn patch_add_edge(g: &UncertainGraph, index: &mut GraphIndex, eid: EdgeId) -> IndexPatch {
     let e = g.edge(eid);
-    let c = index.ecc.comp[e.u];
-    if c != index.ecc.comp[e.v] {
+    if index.ecc.comp[e.u] != index.ecc.comp[e.v] {
         *index = GraphIndex::build(g);
         return IndexPatch::Rebuilt;
     }
     index.cut.is_bridge.push(false);
-    patch_articulation(g, index, c);
     IndexPatch::Patched
 }
 
@@ -81,9 +76,8 @@ pub fn patch_add_edge(g: &UncertainGraph, index: &mut GraphIndex, eid: EdgeId) -
 /// Removing a bridge splits a forest tree: full rebuild. Removing a
 /// non-bridge keeps its component connected (a 2-edge-connected graph
 /// survives any single edge removal), so the component either stays
-/// 2-edge-connected — ids shift down by one and articulation points are
-/// recomputed locally — or develops internal bridges, which splits it:
-/// full rebuild.
+/// 2-edge-connected — edge ids above the removed one shift down by one — or
+/// develops internal bridges, which splits it: full rebuild.
 pub fn patch_remove_edge(
     g: &UncertainGraph,
     index: &mut GraphIndex,
@@ -106,12 +100,6 @@ pub fn patch_remove_edge(
     }
     // Partition unchanged; shift edge ids above the removed one down.
     index.cut.is_bridge.remove(eid);
-    for id in &mut index.cut.bridge_ids {
-        debug_assert_ne!(*id, eid, "a removed non-bridge cannot be in bridge_ids");
-        if *id > eid {
-            *id -= 1;
-        }
-    }
     for adj in &mut index.forest_adj {
         for (_, id) in adj.iter_mut() {
             if *id > eid {
@@ -119,32 +107,7 @@ pub fn patch_remove_edge(
             }
         }
     }
-    patch_articulation(g, index, c);
     IndexPatch::Patched
-}
-
-/// Recompute `is_articulation` for every vertex of component `c` from the
-/// induced subgraph plus the incident-bridge rule (see the module docs).
-/// Vertices outside `c` keep their flags: an intra-component mutation
-/// leaves both the structure outside `c` and the bridge forest untouched.
-fn patch_articulation(g: &UncertainGraph, index: &mut GraphIndex, c: usize) {
-    let keep: Vec<bool> = index.ecc.comp.iter().map(|&cc| cc == c).collect();
-    let members = keep.iter().filter(|&&k| k).count();
-    let (sub, vmap) = g.induced_subgraph(&keep);
-    let sub_cut = cut_structure(&sub);
-    for (v, mapped) in vmap.iter().enumerate() {
-        let Some(sv) = *mapped else { continue };
-        let incident_bridges = g
-            .neighbors(v)
-            .iter()
-            .filter(|&&(_, id)| index.cut.is_bridge[id])
-            .count();
-        index.cut.is_articulation[v] = if members >= 2 {
-            sub_cut.is_articulation[sv] || incident_bridges >= 1
-        } else {
-            incident_bridges >= 2
-        };
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +120,6 @@ mod tests {
         assert_eq!(
             patched.cut.is_bridge, fresh.cut.is_bridge,
             "{what}: is_bridge"
-        );
-        assert_eq!(
-            patched.cut.is_articulation, fresh.cut.is_articulation,
-            "{what}: is_articulation"
-        );
-        assert_eq!(
-            patched.cut.bridge_ids, fresh.cut.bridge_ids,
-            "{what}: bridge_ids"
         );
         assert_eq!(patched.ecc.comp, fresh.ecc.comp, "{what}: ecc.comp");
         assert_eq!(
@@ -285,7 +240,7 @@ mod tests {
     #[test]
     fn edge_id_shift_keeps_forest_labels_aligned() {
         // Bridges with ids above the removed edge must shift down in both
-        // bridge_ids and forest_adj. Chorded square (edges 0..=4) plus a
+        // is_bridge and forest_adj. Chorded square (edges 0..=4) plus a
         // pendant bridge with the highest id.
         let mut g = UncertainGraph::new(
             5,
@@ -300,13 +255,14 @@ mod tests {
         )
         .unwrap();
         let mut index = GraphIndex::build(&g);
-        assert_eq!(index.cut.bridge_ids, vec![5]);
+        assert_eq!(index.forest_adj, vec![vec![(1, 5)], vec![(0, 5)]]);
         let removed = g.remove_edge(4).unwrap(); // the chord
         assert_eq!(
             patch_remove_edge(&g, &mut index, 4, removed.u, false),
             IndexPatch::Patched
         );
-        assert_eq!(index.cut.bridge_ids, vec![4]);
+        assert_eq!(index.cut.is_bridge, vec![false, false, false, false, true]);
+        assert_eq!(index.forest_adj, vec![vec![(1, 4)], vec![(0, 4)]]);
         assert_index_eq(&index, &GraphIndex::build(&g), "id shift");
     }
 

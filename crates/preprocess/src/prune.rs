@@ -24,20 +24,11 @@ pub struct Pruned {
     pub trivially_zero: bool,
 }
 
-/// Run the prune phase. `terminals` must be valid for `g`.
-///
-/// Convenience wrapper that builds the [`GraphIndex`] on the spot; workloads
-/// issuing many terminal sets against one graph should build the index once
-/// and call [`prune_with_index`].
-pub fn prune(g: &UncertainGraph, terminals: &[VertexId]) -> Pruned {
-    prune_with_index(g, &GraphIndex::build(g), terminals)
-}
-
-/// Run the prune phase against a precomputed terminal-independent
-/// [`GraphIndex`] of `g`. Only the `O(#components)` Steiner step and the
-/// subgraph extraction are done here; results are identical to [`prune`].
+/// Run the prune phase against the terminal-independent [`GraphIndex`] of
+/// `g`; `terminals` must be valid for `g`. Only the `O(#components)` Steiner
+/// step and the subgraph extraction are done here.
 pub fn prune_with_index(g: &UncertainGraph, index: &GraphIndex, terminals: &[VertexId]) -> Pruned {
-    let num_nodes = index.num_forest_nodes();
+    let num_nodes = index.ecc.num_comps;
     let node_terminal = index.terminal_marks(terminals);
 
     // Steiner subtree over the contracted forest.
@@ -113,7 +104,7 @@ mod tests {
     #[test]
     fn pendant_path_pruned() {
         let g = lollipop();
-        let p = prune(&g, &[0, 4]);
+        let p = prune_with_index(&g, &GraphIndex::build(&g), &[0, 4]);
         assert!(!p.trivially_zero);
         // Vertices 6, 7 are unreachable-by-need: pruned.
         assert_eq!(p.graph.num_vertices(), 6);
@@ -125,9 +116,10 @@ mod tests {
     #[test]
     fn prune_preserves_reliability() {
         let g = lollipop();
+        let idx = GraphIndex::build(&g);
         for t in [vec![0, 4], vec![1, 5], vec![0, 1, 2], vec![7, 0]] {
             let before = brute_force_reliability(&g, &t);
-            let p = prune(&g, &t);
+            let p = prune_with_index(&g, &idx, &t);
             let after = brute_force_reliability(&p.graph, &p.terminals);
             assert!(
                 (before - after).abs() < 1e-12,
@@ -139,7 +131,7 @@ mod tests {
     #[test]
     fn terminal_inside_pendant_keeps_it() {
         let g = lollipop();
-        let p = prune(&g, &[0, 7]);
+        let p = prune_with_index(&g, &GraphIndex::build(&g), &[0, 7]);
         // Nothing prunable except nothing — every vertex lies on the path.
         assert_eq!(p.graph.num_vertices(), 8);
     }
@@ -147,14 +139,14 @@ mod tests {
     #[test]
     fn terminals_in_disconnected_components_flagged_zero() {
         let g = UncertainGraph::new(4, [(0, 1, 0.5), (2, 3, 0.5)]).unwrap();
-        let p = prune(&g, &[0, 2]);
+        let p = prune_with_index(&g, &GraphIndex::build(&g), &[0, 2]);
         assert!(p.trivially_zero);
     }
 
     #[test]
     fn all_terminals_same_component_not_zero() {
         let g = UncertainGraph::new(4, [(0, 1, 0.5), (2, 3, 0.5)]).unwrap();
-        let p = prune(&g, &[2, 3]);
+        let p = prune_with_index(&g, &GraphIndex::build(&g), &[2, 3]);
         assert!(!p.trivially_zero);
         assert_eq!(p.graph.num_vertices(), 2);
     }
@@ -162,22 +154,8 @@ mod tests {
     #[test]
     fn single_terminal_prunes_to_point() {
         let g = lollipop();
-        let p = prune(&g, &[6]);
+        let p = prune_with_index(&g, &GraphIndex::build(&g), &[6]);
         assert!(!p.trivially_zero);
         assert_eq!(p.terminals.len(), 1);
-    }
-
-    #[test]
-    fn shared_index_reproduces_prune() {
-        let g = lollipop();
-        let idx = GraphIndex::build(&g);
-        for t in [vec![0, 4], vec![1, 5], vec![0, 1, 2], vec![7, 0], vec![6]] {
-            let a = prune(&g, &t);
-            let b = prune_with_index(&g, &idx, &t);
-            assert_eq!(a.trivially_zero, b.trivially_zero);
-            assert_eq!(a.vertex_map, b.vertex_map);
-            assert_eq!(a.terminals, b.terminals);
-            assert_eq!(a.graph.num_edges(), b.graph.num_edges());
-        }
     }
 }

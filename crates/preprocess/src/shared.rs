@@ -22,14 +22,15 @@ use netrel_ugraph::{EdgeId, UncertainGraph, VertexId};
 /// it can be stored next to the graph for the lifetime of a service.
 #[derive(Clone, Debug)]
 pub struct GraphIndex {
-    /// Bridges and articulation points of the graph.
+    /// Bridge flags of the graph, by edge id.
     pub cut: CutStructure,
     /// 2-edge-connected-component labelling.
     pub ecc: TwoEcc,
     /// Adjacency of the contracted bridge forest: for each super vertex
-    /// (2ECC), `(neighbor super vertex, bridge edge id)` pairs. This is the
-    /// terminal-independent half of `BridgeForest`; the per-query half is
-    /// just marking which super vertices contain terminals.
+    /// (2ECC), `(neighbor super vertex, bridge edge id)` pairs in ascending
+    /// bridge id. This is the terminal-independent half of the forest; the
+    /// per-query half, which super vertices contain terminals, is
+    /// [`GraphIndex::terminal_marks`].
     pub forest_adj: Vec<Vec<(usize, EdgeId)>>,
 }
 
@@ -41,7 +42,7 @@ impl GraphIndex {
         let cut = cut_structure(g);
         let ecc = two_edge_connected_components(g, &cut);
         let mut forest_adj = vec![Vec::new(); ecc.num_comps];
-        for &eid in &cut.bridge_ids {
+        for eid in (0..g.num_edges()).filter(|&e| cut.is_bridge[e]) {
             let e = g.edge(eid);
             let (a, b) = (ecc.comp[e.u], ecc.comp[e.v]);
             debug_assert_ne!(a, b, "a bridge cannot be internal to a 2ECC");
@@ -53,12 +54,6 @@ impl GraphIndex {
             ecc,
             forest_adj,
         }
-    }
-
-    /// Number of super vertices (2ECCs) in the bridge forest.
-    #[inline]
-    pub fn num_forest_nodes(&self) -> usize {
-        self.ecc.num_comps
     }
 
     /// The per-query half of the bridge forest: mark which super vertices
@@ -75,7 +70,6 @@ impl GraphIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netrel_ugraph::twoecc::BridgeForest;
 
     /// Triangle {0,1,2} — bridge — triangle {3,4,5} — pendant 5-6-7.
     fn lollipop() -> UncertainGraph {
@@ -97,15 +91,31 @@ mod tests {
     }
 
     #[test]
-    fn index_matches_bridge_forest() {
-        let g = lollipop();
+    fn forest_structure() {
+        let idx = GraphIndex::build(&lollipop());
+        // Super vertices {0,1,2}, {3,4,5}, {6}, {7}, numbered by first
+        // vertex; the three bridges 2-3, 5-6 and 6-7 make a path over them.
+        assert_eq!(idx.ecc.num_comps, 4);
+        assert_eq!(
+            idx.forest_adj,
+            vec![
+                vec![(1, 3)],
+                vec![(0, 3), (2, 7)],
+                vec![(1, 7), (3, 8)],
+                vec![(2, 8)],
+            ]
+        );
+        assert_eq!(idx.terminal_marks(&[0, 4]), vec![true, true, false, false]);
+    }
+
+    #[test]
+    fn single_2ecc_graph() {
+        let g =
+            UncertainGraph::new(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)]).unwrap();
         let idx = GraphIndex::build(&g);
-        for terminals in [vec![0, 4], vec![0, 7], vec![1, 4, 6]] {
-            let forest = BridgeForest::build(&g, &idx.cut, &idx.ecc, &terminals);
-            assert_eq!(forest.num_nodes, idx.num_forest_nodes());
-            assert_eq!(forest.adj, idx.forest_adj);
-            assert_eq!(forest.node_terminal, idx.terminal_marks(&terminals));
-        }
+        assert_eq!(idx.ecc.num_comps, 1);
+        assert_eq!(idx.forest_adj, vec![Vec::new()]);
+        assert_eq!(idx.terminal_marks(&[1]), vec![true]);
     }
 
     #[test]
@@ -116,6 +126,6 @@ mod tests {
         let b = GraphIndex::build(&g);
         assert_eq!(a.forest_adj, b.forest_adj);
         assert_eq!(a.ecc.comp, b.ecc.comp);
-        assert_eq!(a.cut.bridge_ids, b.cut.bridge_ids);
+        assert_eq!(a.cut.is_bridge, b.cut.is_bridge);
     }
 }

@@ -82,11 +82,10 @@ impl Stratum {
                         continue;
                     }
                     let q = r.ln_p.exp();
-                    // 1 - (1-q)^s computed stably for tiny q.
+                    // 1 - (1-q)^s computed stably for tiny q. A world whose
+                    // q underflows to 0 weighs the limit 1/s of q/π.
                     let pi = -((-q).ln_1p() * s).exp_m1();
-                    if pi > 0.0 {
-                        total += q / pi;
-                    }
+                    total += if pi > 0.0 { q / pi } else { 1.0 / s };
                 }
                 total.clamp(0.0, 1.0)
             }
@@ -178,5 +177,16 @@ mod tests {
             s.record_ht(h, 0.9f64.ln(), true);
         }
         assert!(s.conditional_estimate(EstimatorKind::HorvitzThompson) <= 1.0);
+    }
+
+    #[test]
+    fn ht_counts_underflowing_worlds_at_their_limit() {
+        // exp(-800) is 0.0 in f64, yet each distinct connected world still
+        // weighs lim q/π = 1/s: five of them with s = 5 read 1.
+        let mut s = Stratum::new(0, 1.0);
+        for h in 0..5u64 {
+            s.record_ht(h, -800.0, true);
+        }
+        assert_eq!(s.conditional_estimate(EstimatorKind::HorvitzThompson), 1.0);
     }
 }

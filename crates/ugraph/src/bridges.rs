@@ -1,30 +1,23 @@
-//! Bridges and articulation points via an iterative Tarjan lowlink DFS.
+//! Bridges via an iterative Tarjan lowlink DFS.
 //!
 //! The recursion is made explicit because road-network datasets contain DFS
 //! paths hundreds of thousands of vertices deep.
 
-use crate::graph::{EdgeId, UncertainGraph, VertexId};
+use crate::graph::{UncertainGraph, VertexId};
 
-/// Bridges and articulation points of a graph (paper Definition 3).
+/// Bridges of a graph (paper Definition 3).
 #[derive(Clone, Debug)]
 pub struct CutStructure {
     /// `is_bridge[e]` — removing edge `e` disconnects its endpoints.
     pub is_bridge: Vec<bool>,
-    /// `is_articulation[v]` — removing vertex `v` increases the number of
-    /// connected components.
-    pub is_articulation: Vec<bool>,
-    /// Bridge edge ids in ascending order.
-    pub bridge_ids: Vec<EdgeId>,
 }
 
-/// Compute bridges and articulation points in `O(|V| + |E|)`.
+/// Compute bridges in `O(|V| + |E|)`.
 pub fn cut_structure(g: &UncertainGraph) -> CutStructure {
     let n = g.num_vertices();
-    let m = g.num_edges();
     let mut disc = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
-    let mut is_bridge = vec![false; m];
-    let mut is_articulation = vec![false; n];
+    let mut is_bridge = vec![false; g.num_edges()];
     let mut timer = 0u32;
     // Frame: (vertex, parent edge id or usize::MAX, next adjacency index).
     let mut stack: Vec<(VertexId, usize, usize)> = Vec::new();
@@ -33,7 +26,6 @@ pub fn cut_structure(g: &UncertainGraph) -> CutStructure {
         if disc[root] != u32::MAX {
             continue;
         }
-        let mut root_children = 0usize;
         disc[root] = timer;
         low[root] = timer;
         timer += 1;
@@ -50,9 +42,6 @@ pub fn cut_structure(g: &UncertainGraph) -> CutStructure {
                     disc[w] = timer;
                     low[w] = timer;
                     timer += 1;
-                    if v == root {
-                        root_children += 1;
-                    }
                     stack.push((w, eid, 0));
                 } else {
                     low[v] = low[v].min(disc[w]);
@@ -65,23 +54,12 @@ pub fn cut_structure(g: &UncertainGraph) -> CutStructure {
                     if low[v] > disc[u] {
                         is_bridge[pe] = true;
                     }
-                    if u != root && low[v] >= disc[u] {
-                        is_articulation[u] = true;
-                    }
                 }
             }
         }
-        if root_children >= 2 {
-            is_articulation[root] = true;
-        }
     }
 
-    let bridge_ids = (0..m).filter(|&e| is_bridge[e]).collect();
-    CutStructure {
-        is_bridge,
-        is_articulation,
-        bridge_ids,
-    }
+    CutStructure { is_bridge }
 }
 
 #[cfg(test)]
@@ -109,29 +87,6 @@ mod tests {
             .collect()
     }
 
-    /// Oracle: v is an articulation point iff removing it increases the
-    /// number of components among the remaining vertices.
-    fn articulation_oracle(g: &UncertainGraph) -> Vec<bool> {
-        let n = g.num_vertices();
-        (0..n)
-            .map(|cut| {
-                let mut keep = vec![true; n];
-                keep[cut] = false;
-                let (sub, _) = g.induced_subgraph(&keep);
-                let (_, k_after) = connected_components(&sub);
-                // Components among vertices != cut before removal:
-                let (comp, _) = connected_components(g);
-                let mut reps = std::collections::HashSet::new();
-                for (v, &c) in comp.iter().enumerate().take(n) {
-                    if v != cut {
-                        reps.insert(c);
-                    }
-                }
-                k_after > reps.len()
-            })
-            .collect()
-    }
-
     fn path_graph(n: usize) -> UncertainGraph {
         UncertainGraph::new(n, (0..n - 1).map(|i| (i, i + 1, 0.5))).unwrap()
     }
@@ -140,10 +95,7 @@ mod tests {
     fn path_all_bridges() {
         let g = path_graph(5);
         let cs = cut_structure(&g);
-        assert!(cs.is_bridge.iter().all(|&b| b));
-        assert_eq!(cs.bridge_ids, vec![0, 1, 2, 3]);
-        // Inner vertices are articulation points; endpoints are not.
-        assert_eq!(cs.is_articulation, vec![false, true, true, true, false]);
+        assert_eq!(cs.is_bridge, vec![true; 4]);
     }
 
     #[test]
@@ -151,8 +103,7 @@ mod tests {
         let g =
             UncertainGraph::new(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)]).unwrap();
         let cs = cut_structure(&g);
-        assert!(cs.bridge_ids.is_empty());
-        assert!(cs.is_articulation.iter().all(|&a| !a));
+        assert_eq!(cs.is_bridge, vec![false; 4]);
     }
 
     #[test]
@@ -172,25 +123,24 @@ mod tests {
         )
         .unwrap();
         let cs = cut_structure(&g);
-        assert_eq!(cs.bridge_ids, vec![6]);
-        assert!(cs.is_articulation[2]);
-        assert!(cs.is_articulation[5]);
-        assert_eq!(cs.is_articulation.iter().filter(|&&a| a).count(), 2);
+        assert_eq!(
+            cs.is_bridge,
+            vec![false, false, false, false, false, false, true]
+        );
     }
 
     #[test]
     fn disconnected_graph_handled() {
         let g = UncertainGraph::new(5, [(0, 1, 0.5), (2, 3, 0.5), (3, 4, 0.5)]).unwrap();
         let cs = cut_structure(&g);
-        assert_eq!(cs.bridge_ids, vec![0, 1, 2]);
-        assert!(cs.is_articulation[3]);
+        assert_eq!(cs.is_bridge, vec![true; 3]);
     }
 
     #[test]
     fn deep_path_no_stack_overflow() {
         let g = path_graph(200_000);
         let cs = cut_structure(&g);
-        assert_eq!(cs.bridge_ids.len(), 199_999);
+        assert_eq!(cs.is_bridge.iter().filter(|&&b| b).count(), 199_999);
     }
 
     proptest! {
@@ -209,7 +159,6 @@ mod tests {
             let g = UncertainGraph::new(8, list).unwrap();
             let cs = cut_structure(&g);
             prop_assert_eq!(&cs.is_bridge, &bridge_oracle(&g));
-            prop_assert_eq!(&cs.is_articulation, &articulation_oracle(&g));
         }
     }
 }

@@ -8,8 +8,9 @@
 //! * [`MultiGraph`]: a mutable multigraph (parallel edges, self-loops) used by
 //!   the preprocessing transform rules,
 //! * [`Dsu`]: union-find with union-by-size and path halving,
-//! * [`bridges`]: iterative Tarjan bridges / articulation points,
-//! * [`twoecc`]: 2-edge-connected components and the contracted bridge tree,
+//! * [`bridges`]: iterative Tarjan bridges,
+//! * [`twoecc`]: 2-edge-connected component labels (`netrel-preprocess`'s
+//!   `GraphIndex` contracts them into the bridge forest),
 //! * [`steiner`]: minimal terminal-spanning subtree of a tree,
 //! * [`ordering`]: edge orderings and frontier planning for BDD construction,
 //! * [`sample`]: possible-world sampling with early-exit connectivity, and

@@ -1,12 +1,14 @@
-//! 2-edge-connected components and the contracted bridge forest.
+//! 2-edge-connected components.
 //!
 //! The preprocessing extension (paper §5) contracts every 2-edge-connected
 //! component to a super vertex; the bridges then form a forest over the super
 //! vertices (a tree when the input is connected), on which the minimal
 //! Steiner subtree identifies the vertices and edges relevant to reliability.
+//! This module labels the components; `netrel-preprocess`'s `GraphIndex`
+//! builds the contracted forest from these labels and the bridge flags.
 
 use crate::bridges::CutStructure;
-use crate::graph::{EdgeId, UncertainGraph, VertexId};
+use crate::graph::UncertainGraph;
 
 /// 2-edge-connected component labelling.
 #[derive(Clone, Debug)]
@@ -43,48 +45,6 @@ pub fn two_edge_connected_components(g: &UncertainGraph, cut: &CutStructure) -> 
     TwoEcc {
         comp,
         num_comps: next,
-    }
-}
-
-/// The graph obtained by contracting each 2ECC into one super vertex; the
-/// remaining edges are exactly the bridges, so the result is a forest.
-#[derive(Clone, Debug)]
-pub struct BridgeForest {
-    /// Number of super vertices (= number of 2ECCs).
-    pub num_nodes: usize,
-    /// Adjacency: for each super vertex, `(neighbor super vertex, bridge edge id)`.
-    pub adj: Vec<Vec<(usize, EdgeId)>>,
-    /// `node_terminal[c]` — the super vertex contains at least one terminal.
-    pub node_terminal: Vec<bool>,
-}
-
-impl BridgeForest {
-    /// Build the contracted forest. `terminals` marks which original vertices
-    /// are terminals; a super vertex is a terminal iff it contains one
-    /// (paper §5, Prune).
-    pub fn build(
-        g: &UncertainGraph,
-        cut: &CutStructure,
-        ecc: &TwoEcc,
-        terminals: &[VertexId],
-    ) -> Self {
-        let mut adj = vec![Vec::new(); ecc.num_comps];
-        for &eid in &cut.bridge_ids {
-            let e = g.edge(eid);
-            let (a, b) = (ecc.comp[e.u], ecc.comp[e.v]);
-            debug_assert_ne!(a, b, "a bridge cannot be internal to a 2ECC");
-            adj[a].push((b, eid));
-            adj[b].push((a, eid));
-        }
-        let mut node_terminal = vec![false; ecc.num_comps];
-        for &t in terminals {
-            node_terminal[ecc.comp[t]] = true;
-        }
-        BridgeForest {
-            num_nodes: ecc.num_comps,
-            adj,
-            node_terminal,
-        }
     }
 }
 
@@ -127,32 +87,5 @@ mod tests {
         assert_ne!(ecc.comp[0], ecc.comp[3]);
         assert_ne!(ecc.comp[5], ecc.comp[6]);
         assert_ne!(ecc.comp[6], ecc.comp[7]);
-    }
-
-    #[test]
-    fn forest_structure() {
-        let g = lollipop();
-        let cut = cut_structure(&g);
-        let ecc = two_edge_connected_components(&g, &cut);
-        let forest = BridgeForest::build(&g, &cut, &ecc, &[0, 4]);
-        assert_eq!(forest.num_nodes, 4);
-        // Forest edge count = bridge count = 3; tree over 4 nodes.
-        let deg_sum: usize = forest.adj.iter().map(|a| a.len()).sum();
-        assert_eq!(deg_sum, 2 * 3);
-        assert!(forest.node_terminal[ecc.comp[0]]);
-        assert!(forest.node_terminal[ecc.comp[4]]);
-        assert!(!forest.node_terminal[ecc.comp[6]]);
-    }
-
-    #[test]
-    fn single_2ecc_graph() {
-        let g =
-            UncertainGraph::new(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)]).unwrap();
-        let cut = cut_structure(&g);
-        let ecc = two_edge_connected_components(&g, &cut);
-        assert_eq!(ecc.num_comps, 1);
-        let forest = BridgeForest::build(&g, &cut, &ecc, &[1]);
-        assert_eq!(forest.num_nodes, 1);
-        assert!(forest.adj[0].is_empty());
     }
 }
