@@ -13,7 +13,6 @@
 #![deny(missing_docs)]
 
 pub mod accuracy;
-pub mod throughput;
 
 use netrel_ugraph::UncertainGraph;
 use rand::rngs::StdRng;
@@ -34,8 +33,6 @@ pub struct RunArgs {
     pub full: bool,
     /// Optional JSON output path.
     pub json: Option<String>,
-    /// Suite selector for multi-suite runners (`netrel-testrunner`).
-    pub suite: Option<String>,
 }
 
 impl Default for RunArgs {
@@ -46,7 +43,6 @@ impl Default for RunArgs {
             seed: 7,
             full: false,
             json: None,
-            suite: None,
         }
     }
 }
@@ -63,8 +59,6 @@ pub fn parse_args() -> RunArgs {
             a.seed = v.parse().expect("--seed takes an integer");
         } else if let Some(v) = arg.strip_prefix("--json=") {
             a.json = Some(v.to_string());
-        } else if let Some(v) = arg.strip_prefix("--suite=") {
-            a.suite = Some(v.to_string());
         } else if arg == "--full" {
             a.full = true;
             a.scale = 1.0;
@@ -81,41 +75,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())
-}
-
-/// `distinct` terminal pairs drawn from the graph's largest connected
-/// component — the hot-pair workload of multi-query (s-t) benchmarks, where
-/// the same pairs recur and decompositions overlap. Deterministic per seed.
-pub fn overlapping_terminal_pairs(
-    g: &UncertainGraph,
-    distinct: usize,
-    seed: u64,
-) -> Vec<Vec<usize>> {
-    let (comp, num) = netrel_ugraph::traversal::connected_components(g);
-    let mut sizes = vec![0usize; num];
-    for &c in &comp {
-        sizes[c] += 1;
-    }
-    let biggest = (0..num).max_by_key(|&c| sizes[c]).expect("non-empty graph");
-    let members: Vec<usize> = (0..g.num_vertices())
-        .filter(|&v| comp[v] == biggest)
-        .collect();
-    let possible = members.len() * members.len().saturating_sub(1) / 2;
-    assert!(
-        distinct <= possible,
-        "largest component ({} vertices) holds only {possible} distinct pairs, {distinct} requested",
-        members.len()
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pairs = std::collections::BTreeSet::new();
-    while pairs.len() < distinct {
-        let a = members[rng.gen_range(0..members.len())];
-        let b = members[rng.gen_range(0..members.len())];
-        if a != b {
-            pairs.insert((a.min(b), a.max(b)));
-        }
-    }
-    pairs.into_iter().map(|(a, b)| vec![a, b]).collect()
 }
 
 /// `k` distinct random terminals (the paper selects terminals uniformly).

@@ -336,11 +336,13 @@ fn confidence_interval(
     // contribute variance. Widen by the rule-of-three envelope `3/sᵢ` (the
     // classic 95% bound for zero observed failures) for each such part;
     // since part estimates multiply within [0, 1], the additive slack is
-    // conservative.
+    // conservative. A part that drew no samples gets `3/0 = ∞`: the
+    // interval widens to the value range, and the clamp below leaves
+    // exactly the proven bounds.
     let slack: f64 = r
         .parts
         .iter()
-        .filter(|p| !p.exact && p.samples_used > 0 && p.variance_estimate <= 0.0)
+        .filter(|p| !p.exact && p.variance_estimate <= 0.0)
         .map(|p| 3.0 / p.samples_used as f64)
         .sum();
     if slack > 0.0 {
@@ -1233,13 +1235,15 @@ mod tests {
         // Every sampled world connects, the Wald variance is exactly 0, and
         // without the rule-of-three guard the "95% CI" would be the lying
         // point interval [1, 1]. Planned: near-certain edges on a clique.
-        // Fixed: a width-0 diagram on a 4-cycle whose 10 draws all agree.
+        // Fixed: a width-0 diagram on a 4-cycle whose 10 draws all agree,
+        // and the same diagram with no draws at all, whose estimate 0 is
+        // no evidence either.
         let cycle =
             UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
-        let width0 = ProConfig {
+        let width0 = |samples| ProConfig {
             s2bdd: S2BddConfig {
                 max_width: 0,
-                samples: 10,
+                samples,
                 ..Default::default()
             },
             ..Default::default()
@@ -1249,18 +1253,24 @@ mod tests {
                 netrel_datasets::clique_uniform(50, 0.95),
                 PlannedQuery::new(vec![0, 49], PlanBudget::default()),
             ),
-            (cycle, kterminal(vec![0, 1, 2], width0)),
+            (cycle.clone(), kterminal(vec![0, 1, 2], width0(10))),
+            (cycle, kterminal(vec![0, 1, 2], width0(0))),
         ] {
             let mut engine = Engine::new(EngineConfig::default());
             let id = engine.register("g", g);
             let a = engine.run_planned(id, &q).unwrap();
             assert!(!a.exact);
-            assert_eq!(a.estimate, 1.0, "every draw connects");
             assert_eq!(a.variance_estimate, 0.0);
-            let slack = 3.0 / a.samples_used as f64;
-            assert!((a.ci.lower - (1.0 - slack)).abs() < 1e-12, "{:?}", a.ci);
-            assert_eq!(a.ci.upper, 1.0);
-            assert!(a.ci.width() > 0.0);
+            if a.samples_used == 0 {
+                // Nothing drawn: the interval is the proven bounds.
+                assert_eq!((a.ci.lower, a.ci.upper), (a.lower_bound, a.upper_bound));
+            } else {
+                assert_eq!(a.estimate, 1.0, "every draw connects");
+                let slack = 3.0 / a.samples_used as f64;
+                assert!((a.ci.lower - (1.0 - slack)).abs() < 1e-12, "{:?}", a.ci);
+                assert_eq!(a.ci.upper, 1.0);
+            }
+            assert!(a.ci.width() > 0.0, "{:?}", a.ci);
         }
     }
 

@@ -99,12 +99,14 @@ impl Default for PlanBudget {
 }
 
 /// Throughput calibration for [`PlanBudget::time_hint_ms`]: S2BDD nodes one
-/// millisecond buys on the reference machine (the one `BENCH_planner.json`
-/// was recorded on). Deliberately conservative.
+/// millisecond is assumed to buy. A hand-set constant, not a measurement:
+/// a traced run of the serve benchmark (`perfbench/`, `--trace 1`) reports
+/// the rate the solver actually reaches as `s2bdd.nodes_per_ms`.
 pub const NODES_PER_MS: usize = 5_000;
 
 /// Throughput calibration for [`PlanBudget::time_hint_ms`]: possible-world
-/// samples one millisecond buys on the reference machine.
+/// samples one millisecond is assumed to buy; hand-set like
+/// [`NODES_PER_MS`].
 pub const SAMPLES_PER_MS: usize = 2_000;
 
 /// Frontier width beyond which a *bounded* S2BDD stops being useful: at

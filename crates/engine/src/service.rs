@@ -108,6 +108,13 @@ use std::time::Instant;
 /// It must not exceed `u32::MAX`, the packed kernel's vertex id width.
 const MAX_VERTICES: u64 = 1 << 24;
 
+/// Largest `samples` a request, or its `budget`, may ask for. Sampling
+/// costs time per draw, the packed sampler holds one word per 64 draws
+/// before it counts hits (10^12 samples asked for 125 GB), and no request
+/// bytes back the count, so it is bounded here: 2^20 is 52× the largest
+/// count any workload, test or doc sends (20,000).
+const MAX_SAMPLES: u64 = 1 << 20;
+
 /// Stateful NDJSON request handler wrapping an [`Engine`].
 pub struct Service {
     engine: Engine,
@@ -417,8 +424,8 @@ fn apply_budget(v: &Value, budget: &mut PlanBudget) -> Result<(), String> {
     if let Some(n) = opt_u64(obj, "nodes")? {
         budget.node_budget = n as usize;
     }
-    if let Some(s) = opt_u64(obj, "samples")? {
-        budget.sample_budget = s as usize;
+    if let Some(s) = opt_samples(obj)? {
+        budget.sample_budget = s;
     }
     if let Some(ms) = opt_u64(obj, "time_ms")? {
         budget.time_hint_ms = Some(ms);
@@ -470,6 +477,16 @@ fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// Optional `samples` field of one request object, at most [`MAX_SAMPLES`].
+fn opt_samples(v: &Value) -> Result<Option<usize>, String> {
+    match opt_u64(v, "samples")? {
+        Some(s) if s > MAX_SAMPLES => {
+            Err(format!("`samples` {s} exceeds the limit of {MAX_SAMPLES}"))
+        }
+        s => Ok(s.map(|s| s as usize)),
+    }
+}
+
 /// Apply one layer of solver knobs (`exact`, `width`, `samples`, `seed`,
 /// `estimator`) from a request object onto `s2bdd`. `exact` is expanded
 /// first so explicit knobs in the same layer refine it.
@@ -490,8 +507,8 @@ fn apply_knobs(v: &Value, s2bdd: &mut S2BddConfig) -> Result<(), String> {
     if let Some(w) = opt_u64(v, "width")? {
         s2bdd.max_width = w as usize;
     }
-    if let Some(s) = opt_u64(v, "samples")? {
-        s2bdd.samples = s as usize;
+    if let Some(s) = opt_samples(v)? {
+        s2bdd.samples = s;
     }
     if let Some(seed) = opt_u64(v, "seed")? {
         s2bdd.seed = seed;
@@ -965,6 +982,32 @@ mod tests {
         ] {
             let v = parse(&s.handle_line(bad));
             assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "line: {bad}");
+        }
+    }
+
+    #[test]
+    fn samples_above_the_limit_are_refused() {
+        // The solver knob and the planner budget alike: the limit itself is
+        // served (this fixture answers exactly, so nothing is drawn), one
+        // more is a typed error.
+        let mut s = service_with_graph();
+        for (samples, ok) in [(MAX_SAMPLES, true), (MAX_SAMPLES + 1, false)] {
+            for line in [
+                format!(r#"{{"op":"query","graph":"g","terminals":[0,2],"samples":{samples}}}"#),
+                format!(
+                    r#"{{"op":"query","graph":"g","terminals":[0,2],"budget":{{"samples":{samples}}}}}"#
+                ),
+            ] {
+                let v = parse(&s.handle_line(&line));
+                assert_eq!(v.get("ok"), Some(&Value::Bool(ok)), "line: {line}");
+                if !ok {
+                    let error = match v.get("error") {
+                        Some(Value::Str(e)) => e,
+                        other => panic!("error missing: {other:?}"),
+                    };
+                    assert!(error.contains("`samples`"), "{error}");
+                }
+            }
         }
     }
 

@@ -108,8 +108,9 @@ fn hundred_query_batch_beats_oneshot_and_agrees() {
         "expected cache hits on repeated terminal pairs: {stats:?}"
     );
 
-    // Loose wall-clock bar (`netrel-testrunner --suite=engine` measures the
-    // real margin; observed locally: well above 5x).
+    // Loose wall-clock bar, so a busy host cannot trip it; the serve
+    // benchmark's road-warm and road-cold workloads (`perfbench/`) measure
+    // the served path's throughput.
     let speedup = oneshot_secs / engine_secs.max(1e-9);
     assert!(
         speedup >= 1.5,

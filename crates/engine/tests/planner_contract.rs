@@ -6,6 +6,9 @@
 //!    cap completes through the planner with CI-carrying answers.
 //! 3. Planned answers are deterministic across engines, worker counts, and
 //!    cache states.
+//! 4. On five fixed workloads (dense cliques, d-hop, road pairs and city
+//!    blocks) the planner's routes are pinned, and it completes every query:
+//!    each answer is exact or carries a CI narrower than 0.5.
 
 use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
 use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Route};
@@ -63,7 +66,7 @@ fn sparse_fixtures() -> Vec<(&'static str, UncertainGraph, Vec<Vec<usize>>)> {
     ]
 }
 
-use netrel_datasets::clique;
+use netrel_datasets::{clique, Dataset};
 
 #[test]
 fn sparse_fixtures_route_exact_and_match_pro_bitwise() {
@@ -154,6 +157,115 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
         assert!(a.lower_bound <= a.estimate && a.estimate <= a.upper_bound);
         // A 55-clique with p ≈ 0.5 edges is connected almost surely.
         assert!(a.estimate > 0.99, "estimate {}", a.estimate);
+    }
+}
+
+/// Ten distinct pairs from the largest component of Tokyo at scale 0.05,
+/// seed 7, drawn once with a seeded RNG and written out so the workload
+/// cannot drift with the drawing code.
+const TOKYO_PAIRS: [[usize; 2]; 10] = [
+    [71, 223],
+    [94, 1273],
+    [126, 641],
+    [142, 1023],
+    [146, 951],
+    [148, 222],
+    [211, 239],
+    [427, 938],
+    [553, 929],
+    [603, 1248],
+];
+
+#[test]
+fn planner_routes_and_completes_the_fixed_workloads() {
+    let tokyo = Dataset::Tokyo.generate(0.05, 7);
+    // Four-terminal "city block" sets: the generator lays vertices out
+    // row-major on a ~√n × √n grid, so `v`, `v+1`, `v+side`, `v+side+1`
+    // form a unit square of nearby (hence non-vanishing) terminals.
+    let side = (tokyo.num_vertices() as f64).sqrt() as usize;
+    let tokyo_quads: Vec<Vec<usize>> = (0..10)
+        .map(|i| {
+            let v = i * (side + 1);
+            vec![v, v + 1, v + side, v + side + 1]
+        })
+        .collect();
+    let tokyo_pairs: Vec<Vec<usize>> = TOKYO_PAIRS.iter().map(|p| p.to_vec()).collect();
+    let dense_pairs: Vec<Vec<usize>> = (0..20).map(|i| vec![i % 20, 30 + (i * 7) % 25]).collect();
+    // Routes over the batch: exact, bounded, sampling, bit_sampling,
+    // enumeration. At d = 2 nothing on a clique is prunable, so every
+    // d-hop part exceeds the exact-enumeration limit and is sampled.
+    let workloads = [
+        (
+            "clique55-dense",
+            clique(55),
+            SemanticsSpec::KTerminal,
+            dense_pairs.clone(),
+            [0, 0, 0, 20, 0],
+        ),
+        (
+            "clique55-dhop",
+            clique(55),
+            SemanticsSpec::DHop { d: 2 },
+            dense_pairs.clone(),
+            [0, 0, 0, 20, 0],
+        ),
+        (
+            "clique80-dense",
+            clique(80),
+            SemanticsSpec::KTerminal,
+            dense_pairs,
+            [0, 0, 0, 20, 0],
+        ),
+        (
+            "tokyo-sparse",
+            tokyo.clone(),
+            SemanticsSpec::KTerminal,
+            tokyo_pairs,
+            [4, 9, 0, 1, 0],
+        ),
+        (
+            "tokyo-kterminal",
+            tokyo,
+            SemanticsSpec::KTerminal,
+            tokyo_quads,
+            [0, 9, 0, 0, 0],
+        ),
+    ];
+    for (name, g, spec, terminal_sets, routes) in workloads {
+        let mut engine = Engine::new(EngineConfig::sequential());
+        let id = engine.register(name, g);
+        let queries: Vec<PlannedQuery> = terminal_sets
+            .iter()
+            .map(|t| {
+                PlannedQuery::with_semantics(
+                    spec,
+                    t.clone(),
+                    ProConfig::default(),
+                    PlanBudget::default(),
+                )
+            })
+            .collect();
+        let answers = engine.run_planned_batch(id, &queries).unwrap();
+        for (t, a) in terminal_sets.iter().zip(answers) {
+            let a = a.unwrap();
+            assert!(
+                a.exact || a.ci.width() < 0.5,
+                "{name} {t:?}: not completed, ci {:?}",
+                a.ci
+            );
+        }
+        let r = engine.metrics_snapshot().routes;
+        assert_eq!(
+            [
+                r.exact,
+                r.bounded,
+                r.sampling,
+                r.bit_sampling,
+                r.enumeration
+            ],
+            routes,
+            "{name}"
+        );
     }
 }
 

@@ -18,7 +18,7 @@
 //!    tracing stays opt-in: the thread-local trace hook ([`trace::span`])
 //!    is a single thread-local read when no trace is installed.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`metrics`] — [`Counter`] (saturating atomic), [`Histogram`]
 //!   (fixed exponential bucket edges, Prometheus cumulative-`le`
@@ -30,19 +30,20 @@
 //!   serializable (and round-trippable) result. A thread-local hook lets
 //!   deep layers (preprocessing, semantics planning) emit spans without
 //!   threading a builder through every signature.
-//! * [`report`] — the unified benchmark report schema ([`BenchReport`])
-//!   shared by the throughput bins and the `bench-diff` tolerance checker.
 //!
-//! The metric catalogue, span taxonomy, and exposition formats are
-//! documented in `docs/observability.md`.
+//! Performance is measured by the serve benchmark (`perfbench/`): it
+//! drives `netrel-serve` over its pipe and, in traced mode, replays each op
+//! layer by layer in-process and checks its counts against the server's
+//! [`MetricsSnapshot`]. The metric catalogue, span taxonomy, and exposition
+//! formats are documented in `docs/observability.md`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod metrics;
-pub mod report;
 pub mod trace;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, Recorder};
-pub use report::{BenchReport, BenchRow, CacheCounts, DiffViolation, RouteCounts};
+pub use metrics::{
+    Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, Recorder, RouteCounts,
+};
 pub use trace::{QueryTrace, SpanGuard, TraceBuilder, TraceSpan};

@@ -8,7 +8,6 @@
 //! renders the standard `_bucket{le=…}` / `_sum` / `_count` triple per
 //! histogram.
 
-use crate::report::RouteCounts;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -385,6 +384,22 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics::new()
     }
+}
+
+/// Planner route decisions, one counter per route (the `routes` field of
+/// [`MetricsSnapshot`]).
+#[derive(Clone, Copy, Debug, serde::Serialize)]
+pub struct RouteCounts {
+    /// Parts routed to the unbounded-width exact S2BDD.
+    pub exact: u64,
+    /// Parts routed to the width-bounded S2BDD.
+    pub bounded: u64,
+    /// Parts routed to flat possible-world sampling.
+    pub sampling: u64,
+    /// Parts routed to the bit-parallel (64 worlds per `u64`) sampler.
+    pub bit_sampling: u64,
+    /// Parts routed to exact d-hop enumeration.
+    pub enumeration: u64,
 }
 
 /// A frozen, serializable copy of the whole [`Metrics`] catalogue — the
