@@ -60,7 +60,7 @@ fn main() -> ExitCode {
         } else if arg == "--help" || arg == "-h" {
             eprintln!("usage: netrel-serve [--workers=N] [--cache=ENTRIES]");
             eprintln!("NDJSON protocol: register/query/batch/mutate/whatif/maximize/stats/");
-            eprintln!("metrics, planner budgets, CI fields, and `trace` — documented in");
+            eprintln!("metrics, planner budgets and CI fields — documented in");
             eprintln!("docs/protocol.md (netcat/curl examples included) and the");
             eprintln!("`netrel_engine::service` rustdoc.");
             return ExitCode::SUCCESS;

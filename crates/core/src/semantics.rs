@@ -132,12 +132,10 @@ impl SemanticsSpec {
     ) -> Result<SemanticsPlan, GraphError> {
         match self {
             SemanticsSpec::KTerminal => {
-                let _span = netrel_obs::trace::span("plan.k-terminal");
                 let pre = preprocess_with_index(g, index, terminals, cfg)?;
                 Ok(SemanticsPlan::from_preprocessed(self, pre))
             }
             SemanticsSpec::TwoTerminal => {
-                let _span = netrel_obs::trace::span("plan.two-terminal");
                 let t = g.validate_terminals(terminals)?;
                 if t.len() != 2 {
                     return Err(GraphError::InvalidTerminals {
@@ -151,7 +149,6 @@ impl SemanticsSpec {
                 Ok(SemanticsPlan::from_preprocessed(self, pre))
             }
             SemanticsSpec::AllTerminal => {
-                let _span = netrel_obs::trace::span("plan.all-terminal");
                 if g.num_vertices() == 0 {
                     return Err(GraphError::InvalidTerminals {
                         reason: "all-terminal semantics on an empty graph".into(),
@@ -337,7 +334,6 @@ fn plan_dhop(
     d: u32,
     cfg: PreprocessConfig,
 ) -> Result<SemanticsPlan, GraphError> {
-    let _span = netrel_obs::trace::span("plan.d-hop");
     let t = g.validate_terminals(terminals)?;
     if t.len() != 2 {
         return Err(GraphError::InvalidTerminals {
@@ -423,7 +419,6 @@ fn plan_reach_set(
     terminals: &[VertexId],
     cfg: PreprocessConfig,
 ) -> Result<SemanticsPlan, GraphError> {
-    let _span = netrel_obs::trace::span("plan.reach-set");
     let t = g.validate_terminals(terminals)?;
     if t.len() != 1 {
         return Err(GraphError::InvalidTerminals {
@@ -576,7 +571,6 @@ fn is_identity(parts: &[usize], n: usize) -> bool {
 /// has exactly one group, else 1.0 (a multi-group plan has no single bridge
 /// factor).
 pub fn combine_semantics_plan(plan: &SemanticsPlan, solved: Vec<S2BddResult>) -> ProResult {
-    let _span = netrel_obs::trace::span("combine");
     if plan.trivially_zero {
         return zero_pro_result(plan.stats);
     }

@@ -72,8 +72,6 @@ use netrel_core::{
     DHOP_EXACT_EDGE_LIMIT,
 };
 use netrel_numeric::{normal_ci, ConfidenceInterval, ConfidenceLevel};
-use netrel_obs::trace as obs_trace;
-use netrel_obs::TraceBuilder;
 use netrel_preprocess::GraphIndex;
 use netrel_s2bdd::{S2BddConfig, S2BddResult};
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId};
@@ -84,7 +82,7 @@ use std::time::{Duration, Instant};
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use mutate::{MaximizeResult, MaximizeStep, Mutation, MutationOutcome};
-pub use netrel_obs::{MetricsSnapshot, QueryTrace, Recorder};
+pub use netrel_obs::{MetricsSnapshot, Recorder};
 pub use netrel_preprocess::IndexPatch;
 pub use planner::{plan_part, CostEstimate, PartPlan, PartSolver, PlanBudget, Route};
 
@@ -160,10 +158,6 @@ pub struct PlannedQuery {
     /// `confidence` also sets the level of [`ReliabilityAnswer::ci`] under
     /// either policy.
     pub budget: PlanBudget,
-    /// Request a [`QueryTrace`] span tree with the answer (see
-    /// [`PlannedQuery::with_trace`]). Tracing never changes the answer —
-    /// only [`ReliabilityAnswer::trace`].
-    pub trace: bool,
 }
 
 impl PlannedQuery {
@@ -195,7 +189,6 @@ impl PlannedQuery {
             config,
             policy: Policy::Budgeted,
             budget,
-            trace: false,
         }
     }
 
@@ -207,15 +200,6 @@ impl PlannedQuery {
             policy: Policy::Fixed,
             ..Self::with_semantics(semantics, terminals, config, PlanBudget::default())
         }
-    }
-
-    /// Opt this query into span tracing: the answer's
-    /// [`ReliabilityAnswer::trace`] carries the full span tree (plan,
-    /// route, cache lookup, per-part solves, combine). Tracing is
-    /// bit-invariant — it reads clocks, never an RNG.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 }
 
@@ -292,10 +276,6 @@ pub struct ReliabilityAnswer {
     /// Parts of this query that required a solve (or joined an identical
     /// in-batch job).
     pub cache_misses: usize,
-    /// Span tree of this query's execution, present when tracing was
-    /// requested ([`PlannedQuery::with_trace`] or `trace: true` on the
-    /// protocol); `None` otherwise.
-    pub trace: Option<QueryTrace>,
 }
 
 /// The `DESIGN.md` §9.4 interval of a recombined answer at `level`.
@@ -428,10 +408,6 @@ struct PreparedQuery {
     sources: Vec<PartSource>,
     cache_hits: usize,
     cache_misses: usize,
-    /// Span builder for this query, carried from planning (which already
-    /// recorded plan/preprocess spans into it) through execution; `None`
-    /// when the query did not opt into tracing.
-    trace: Option<TraceBuilder>,
 }
 
 /// Materialize the [`Policy::Fixed`] solver for one part, mirroring
@@ -587,9 +563,7 @@ impl Engine {
     /// Stage 1 against an explicit `(graph, index)` pair: semantics
     /// planning, then one materialized solver per part under the query's
     /// [`Policy`], and the cache key each solver implies (the single
-    /// key-derivation site). A traced query runs planning with its builder
-    /// installed in the thread-local hook, so the core/preprocess spans
-    /// ("plan.*", "preprocess.*") nest under this query's root.
+    /// key-derivation site).
     fn prepare(
         &self,
         graph: &UncertainGraph,
@@ -601,21 +575,15 @@ impl Engine {
             .iter()
             .map(|q| {
                 let t0 = Instant::now();
-                if q.trace {
-                    obs_trace::install(TraceBuilder::new());
-                }
-                let plan_result = q
+                let plan = q
                     .semantics
-                    .plan(graph, index, &q.terminals, q.config.preprocess);
-                let mut tb = if q.trace { obs_trace::take() } else { None };
-                let plan = plan_result?; // a failed plan drops its trace
+                    .plan(graph, index, &q.terminals, q.config.preprocess)?;
                 m.plan_seconds.observe_duration(t0.elapsed());
                 match q.policy {
                     Policy::Fixed => m.queries_classic.inc(),
                     Policy::Budgeted => m.queries_planned.inc(),
                 }
                 m.parts_per_query.observe_count(plan.parts.len());
-                let route_span = tb.as_mut().and_then(|b| b.open("route"));
                 let parts = plan.parts.iter().enumerate();
                 let solvers: Vec<PartSolver> = match q.policy {
                     Policy::Fixed => parts
@@ -634,11 +602,6 @@ impl Engine {
                             .collect()
                     }
                 };
-                if let (Some(b), Some(id)) = (tb.as_mut(), route_span) {
-                    let names: Vec<&str> = solvers.iter().map(|s| s.route().name()).collect();
-                    b.attr(id, "routes", names.join(","));
-                    b.close(id);
-                }
                 let keys = plan
                     .parts
                     .iter()
@@ -652,7 +615,6 @@ impl Engine {
                     sources: Vec::new(),
                     cache_hits: 0,
                     cache_misses: 0,
-                    trace: tb,
                 })
             })
             .collect()
@@ -717,7 +679,6 @@ impl Engine {
             let mut cache = self.cache.lock().expect("plan cache poisoned");
             for (qi, prep) in prepared.iter_mut().enumerate() {
                 let Ok(prep) = prep.as_mut() else { continue };
-                let lookup_start = prep.trace.as_ref().map(|_| Instant::now());
                 let mut sources = Vec::with_capacity(prep.keys.len());
                 for (pi, key) in prep.keys.iter().enumerate() {
                     if let Some(hit) = cache.get(key) {
@@ -735,12 +696,6 @@ impl Engine {
                 prep.sources = sources;
                 total_hits += prep.cache_hits as u64;
                 total_misses += prep.cache_misses as u64;
-                if let (Some(b), Some(s)) = (prep.trace.as_mut(), lookup_start) {
-                    if let Some(id) = b.add_timed("cache.lookup", s, Instant::now()) {
-                        b.attr(id, "hits", prep.cache_hits.to_string());
-                        b.attr(id, "misses", prep.cache_misses.to_string());
-                    }
-                }
             }
         } // release the cache lock before solving
         m.cache_hits.add(total_hits);
@@ -843,50 +798,21 @@ impl Engine {
             .into_iter()
             .zip(queries)
             .map(|(prep, q)| {
-                let mut prep = prep?;
-                let mut tb = prep.trace.take();
+                let prep = prep?;
                 let routes: Vec<Route> = prep.solvers.iter().map(|s| s.route()).collect();
-                let mut parts = Vec::with_capacity(prep.sources.len());
-                for (pi, (source, route)) in prep.sources.into_iter().zip(&routes).enumerate() {
-                    let (result, span) = match source {
-                        PartSource::Cached(r) => (r, None),
-                        PartSource::Job(j) => {
-                            let (r, span) = &solved[j];
-                            (r.clone()?, Some(*span))
-                        }
-                    };
-                    if let Some(b) = tb.as_mut() {
-                        let id = match span {
-                            Some((s, e)) => b.add_timed("part.solve", s, e),
-                            None => {
-                                // Cached (or shared in-batch) part: record a
-                                // zero-width span so the tree stays complete.
-                                let now = Instant::now();
-                                b.add_timed("part.solve", now, now)
-                            }
-                        };
-                        if let Some(id) = id {
-                            b.attr(id, "part", pi.to_string());
-                            b.attr(id, "cached", if span.is_none() { "true" } else { "false" });
-                            b.attr(id, "route", route.name());
-                        }
-                    }
-                    parts.push(result);
-                }
+                let parts = prep
+                    .sources
+                    .into_iter()
+                    .map(|source| match source {
+                        PartSource::Cached(r) => Ok(r),
+                        PartSource::Job(j) => solved[j].0.clone(),
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
                 // `combine_semantics_plan` handles trivially-zero plans
                 // (empty parts) and reproduces `combine_part_results` bit
-                // for bit on the classic single-group shape. When tracing,
-                // the builder is installed around the call so the core's
-                // "combine" span nests under this query's root.
+                // for bit on the classic single-group shape.
                 let t0 = Instant::now();
-                let pro = if let Some(b) = tb.take() {
-                    obs_trace::install(b);
-                    let pro = combine_semantics_plan(&prep.plan, parts);
-                    tb = obs_trace::take();
-                    pro
-                } else {
-                    combine_semantics_plan(&prep.plan, parts)
-                };
+                let pro = combine_semantics_plan(&prep.plan, parts);
                 m.combine_seconds.observe_duration(t0.elapsed());
                 let value_cap = q.semantics.value_upper(graph);
                 Ok(ReliabilityAnswer {
@@ -904,7 +830,6 @@ impl Engine {
                     routes,
                     cache_hits: prep.cache_hits,
                     cache_misses: prep.cache_misses,
-                    trace: tb.map(TraceBuilder::finish),
                 })
             })
             .inspect(|r| {

@@ -60,14 +60,13 @@
 //!
 //! ## Observability
 //!
-//! `{"op":"metrics"}` returns the engine's metric catalogue twice: as
-//! `prometheus` (Prometheus text exposition, ready to serve at a scrape
-//! endpoint) and as `metrics` (the same snapshot as structured JSON).
-//! Passing `"trace": true` on a `query` (or on a `batch` or one of its
-//! queries) opts that query into span tracing: the answer carries a
-//! `trace` object with the full span tree of its execution. Tracing
-//! implies the planned path. `stats` reports per-graph registration and
-//! cache telemetry under `per_graph`. See `docs/observability.md`.
+//! `{"op":"metrics"}` returns the engine's metric catalogue as structured
+//! JSON under `metrics`, and `stats` reports per-graph registration and
+//! cache telemetry under `per_graph`. The service returns no per-query span
+//! traces: a `query`, `batch` or `whatif` request, or a batch item, that
+//! carries a `trace` field is refused with an error, and per-layer timings
+//! come from the serve benchmark's traced replay (`perfbench/`,
+//! `--trace 1`). See `docs/observability.md`.
 //!
 //! ## Responses
 //!
@@ -214,8 +213,7 @@ impl Service {
     fn op_query(&mut self, request: &Value) -> Result<Value, String> {
         let id = self.graph_field(request)?;
         let mut query = parse_query(request, request)?;
-        // Per the protocol, `trace: true` selects the planner too.
-        if wants_plan(request) || wants_trace(request) {
+        if wants_plan(request) {
             plan_query(&mut query, request, request)?;
         }
         let answer = self
@@ -241,12 +239,9 @@ impl Service {
             .iter()
             .map(|item| parse_query(item, request))
             .collect::<Result<Vec<_>, _>>()?;
-        // One planned query (or a top-level `plan`/`budget`/`trace`) plans
-        // the whole batch.
-        if wants_plan(request)
-            || wants_trace(request)
-            || items.iter().any(|i| wants_plan(i) || wants_trace(i))
-        {
+        // One planned query (or a top-level `plan`/`budget`) plans the
+        // whole batch.
+        if wants_plan(request) || items.iter().any(wants_plan) {
             for (item, query) in items.iter().zip(&mut queries) {
                 plan_query(query, request, item)?;
             }
@@ -287,12 +282,10 @@ impl Service {
     }
 
     fn op_metrics(&self) -> Value {
-        let snapshot = self.engine.metrics_snapshot();
         Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("metrics".into())),
-            ("prometheus".into(), Value::Str(snapshot.to_prometheus())),
-            ("metrics".into(), snapshot.to_value()),
+            ("metrics".into(), self.engine.metrics_snapshot().to_value()),
         ])
     }
 
@@ -320,8 +313,8 @@ impl Service {
         let id = self.graph_field(request)?;
         let mutations = mutations_field(request, "mutations")?;
         let mut query = parse_query(request, request)?;
-        // What-if evaluation is always planned; `budget` and `trace` work
-        // exactly as on a planned `query`.
+        // What-if evaluation is always planned; `budget` works exactly as
+        // on a planned `query`.
         plan_query(&mut query, request, request)?;
         let answer = self
             .engine
@@ -397,20 +390,12 @@ fn wants_plan(v: &Value) -> bool {
     matches!(v.get("plan"), Some(Value::Bool(true))) || v.get("budget").is_some()
 }
 
-/// Whether one request (or query object) opts into span tracing.
-fn wants_trace(v: &Value) -> bool {
-    matches!(v.get("trace"), Some(Value::Bool(true)))
-}
-
 /// Switch a parsed query to [`Policy::Budgeted`]: its budget layers like
-/// the solver knobs (`defaults` first, then `item`), and it is traced when
-/// either object asks.
+/// the solver knobs (`defaults` first, then `item`).
 fn plan_query(query: &mut PlannedQuery, defaults: &Value, item: &Value) -> Result<(), String> {
     query.policy = Policy::Budgeted;
     apply_budget(defaults, &mut query.budget)?;
-    apply_budget(item, &mut query.budget)?;
-    query.trace = wants_trace(defaults) || wants_trace(item);
-    Ok(())
+    apply_budget(item, &mut query.budget)
 }
 
 /// Layer one request object's `budget` fields onto `budget` (absent fields
@@ -682,6 +667,15 @@ fn parse_semantics(item: &Value, defaults: &Value) -> Result<SemanticsSpec, Stri
 /// enclosing request, for `batch`) supplies fallback solver knobs and
 /// semantics.
 fn parse_query(item: &Value, defaults: &Value) -> Result<PlannedQuery, String> {
+    // The service returns no span traces, so a request for one is refused
+    // rather than answered without it.
+    if defaults.get("trace").is_some() || item.get("trace").is_some() {
+        return Err(
+            "field `trace` is not supported: per-layer timings come from the \
+             serve benchmark's traced replay (`perfbench/run.py --trace 1`)"
+                .into(),
+        );
+    }
     let semantics = parse_semantics(item, defaults)?;
     let terminals = match item.get("terminals") {
         Some(Value::Seq(ts)) => ts
@@ -785,7 +779,6 @@ mod tests {
                 "routes",
                 "cache_hits",
                 "cache_misses",
-                "trace",
             ]
         );
         let stats = answer.get("preprocess_stats").expect("stats present");
@@ -1101,60 +1094,44 @@ mod tests {
         s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2],"plan":true}"#);
         let v = parse(&s.handle_line(r#"{"op":"metrics"}"#));
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
-        let prom = match v.get("prometheus") {
-            Some(Value::Str(p)) => p,
-            other => panic!("prometheus text missing: {other:?}"),
-        };
-        for family in [
-            "netrel_queries_total{path=\"planned\"}",
-            "netrel_planner_route_total{route=\"exact\"}",
-            "netrel_cache_hits_total",
-            "netrel_cache_misses_total",
-            "netrel_part_solve_seconds_bucket",
-            "netrel_request_seconds_bucket",
-            "netrel_index_build_seconds_bucket",
-            "netrel_requests_total{op=\"metrics\"}",
-        ] {
-            assert!(prom.contains(family), "missing `{family}` in:\n{prom}");
-        }
-        // The JSON twin carries the same counters, structured.
+        assert_eq!(v.get("prometheus"), None, "the snapshot is JSON only");
         let m = v.get("metrics").expect("json snapshot present");
-        assert_eq!(m.get("queries_planned"), Some(&Value::U64(2)));
+        let count = |v: Option<&Value>| match v {
+            Some(Value::U64(n)) => *n,
+            other => panic!("not a count: {other:?}"),
+        };
+        let observations = |key: &str| count(m.get(key).and_then(|h| h.get("count")));
+        assert_eq!(count(m.get("queries_planned")), 2);
         let routes = m.get("routes").expect("route counts present");
-        assert!(matches!(routes.get("exact"), Some(Value::U64(n)) if *n >= 1));
+        assert!(count(routes.get("exact")) >= 1, "{routes:?}");
+        assert!(count(m.get("cache_hits")) + count(m.get("cache_misses")) >= 2);
+        assert!(observations("part_solve_seconds") >= 1);
+        // register and both queries; this request is timed after it answers.
+        assert!(observations("request_seconds") >= 3);
+        assert_eq!(observations("index_build_seconds"), 1);
+        assert_eq!(count(m.get("requests_metrics")), 1);
     }
 
     #[test]
-    fn trace_flag_returns_a_span_tree_and_implies_planning() {
+    fn trace_field_is_refused_and_the_stream_goes_on() {
         let mut s = service_with_graph();
-        let v =
-            parse(&s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2],"trace":true}"#));
-        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
-        let answer = v.get("answer").expect("answer present");
-        // `trace: true` alone routes through the planner.
-        assert!(answer.get("routes").is_some());
-        let spans = match answer.get("trace").and_then(|t| t.get("spans")) {
-            Some(Value::Seq(spans)) => spans,
-            other => panic!("trace spans missing: {other:?}"),
-        };
-        let names: Vec<&str> = spans
-            .iter()
-            .filter_map(|s| match s.get("name") {
-                Some(Value::Str(n)) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect();
-        for expected in ["query", "plan.k-terminal", "cache.lookup", "combine"] {
-            assert!(
-                names.contains(&expected),
-                "missing `{expected}` in {names:?}"
-            );
+        for line in [
+            r#"{"op":"query","graph":"g","terminals":[0,2],"trace":true}"#,
+            r#"{"op":"query","graph":"g","terminals":[0,2],"plan":true,"trace":false}"#,
+            r#"{"op":"batch","graph":"g","trace":true,"queries":[{"terminals":[0,2]}]}"#,
+            r#"{"op":"batch","graph":"g","queries":[{"terminals":[0,2]},{"terminals":[1,3],"trace":true}]}"#,
+            r#"{"op":"whatif","graph":"g","terminals":[0,2],"mutations":[],"trace":true}"#,
+        ] {
+            let v = parse(&s.handle_line(line));
+            assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "line: {line}");
+            match v.get("error") {
+                Some(Value::Str(e)) => assert!(e.contains("--trace 1"), "{e}"),
+                other => panic!("error missing: {other:?}"),
+            }
         }
-        // Untraced queries stay trace-free on the wire.
         let v =
             parse(&s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2],"plan":true}"#));
-        let answer = v.get("answer").expect("answer present");
-        assert_eq!(answer.get("trace"), Some(&Value::Null));
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{v:?}");
     }
 
     #[test]

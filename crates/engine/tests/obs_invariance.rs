@@ -1,14 +1,20 @@
 //! Bit-identity regression suite for the observability layer. Every engine
-//! records metrics, so the plain reference is the one-shot
-//! [`semantics_reliability`], which holds no recorder: fixed-policy answers
-//! from a recording engine with per-query tracing must equal it bit for
-//! bit, across all five semantics, after each mutation and for a what-if.
-//! Budgeted answers have no one-shot twin, so there a traced query is
-//! compared with an untraced one. Instrumentation reads clocks and bumps
-//! atomics — it must never touch an RNG or reorder work.
+//! records metrics, so the plain references hold no recorder: fixed-policy
+//! answers must equal the one-shot [`semantics_reliability`] bit for bit,
+//! across all five semantics, after each mutation and for a what-if, and
+//! budgeted answers must equal [`reference_pipeline`], the planned
+//! pipeline rebuilt from public functions. Instrumentation reads clocks and
+//! bumps atomics — it must never touch an RNG or reorder work.
 
-use netrel_core::{semantics_reliability, ProConfig, SemanticsSpec};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, ReliabilityAnswer};
+use netrel_core::{
+    combine_semantics_plan, exact_semantics_part, sample_semantics_part, semantics_reliability,
+    solve_semantics_part, BitSamplingConfig, ProConfig, ProResult, SamplingConfig, SemanticsSpec,
+    WorldBank,
+};
+use netrel_engine::{
+    plan_part, Engine, EngineConfig, PartSolver, PlanBudget, PlannedQuery, ReliabilityAnswer, Route,
+};
+use netrel_preprocess::GraphIndex;
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
 
@@ -56,18 +62,22 @@ fn five_semantics() -> Vec<(SemanticsSpec, Vec<usize>)> {
     ]
 }
 
-/// Traced fixed-policy queries over the five semantics.
-fn traced_fixed_queries() -> Vec<PlannedQuery> {
+/// Fixed-policy queries over the five semantics.
+fn fixed_queries() -> Vec<PlannedQuery> {
     five_semantics()
         .into_iter()
-        .map(|(s, t)| PlannedQuery::fixed(s, t, sampling_cfg(11)).with_trace())
+        .map(|(s, t)| PlannedQuery::fixed(s, t, sampling_cfg(11)))
         .collect()
 }
 
 /// `answer` to `query` on `g` equals the one-shot pipeline bit for bit.
 fn assert_matches_one_shot(g: &UncertainGraph, query: &PlannedQuery, answer: &ReliabilityAnswer) {
     let plain = semantics_reliability(g, query.semantics, &query.terminals, query.config).unwrap();
-    let what = query.semantics;
+    assert_same_bits(answer, &plain, query.semantics);
+}
+
+/// `answer` equals the recorder-free result `plain` bit for bit.
+fn assert_same_bits(answer: &ReliabilityAnswer, plain: &ProResult, what: SemanticsSpec) {
     assert_eq!(
         answer.estimate.to_bits(),
         plain.estimate.to_bits(),
@@ -83,100 +93,127 @@ fn assert_matches_one_shot(g: &UncertainGraph, query: &PlannedQuery, answer: &Re
     assert_eq!(answer.exact, plain.exact);
 }
 
+/// A budgeted query's answer on `g` without an engine: index, semantics
+/// plan, per-part budget and route, the routed solver (single-threaded
+/// samplers, a fresh `WorldBank` per packed part), then the recombination,
+/// with the route of each part.
+fn reference_pipeline(g: &UncertainGraph, query: &PlannedQuery) -> (ProResult, Vec<Route>) {
+    let index = GraphIndex::build(g);
+    let plan = query
+        .semantics
+        .plan(g, &index, &query.terminals, query.config.preprocess)
+        .unwrap();
+    let part_budget = query.budget.for_parts(plan.parts.len());
+    let mut routes = Vec::new();
+    let solved = plan
+        .parts
+        .iter()
+        .enumerate()
+        .map(|(pi, part)| {
+            let solver = plan_part(part, query.config.s2bdd, pi, &part_budget).solver;
+            routes.push(solver.route());
+            match solver {
+                PartSolver::S2Bdd(cfg) => solve_semantics_part(part, cfg),
+                PartSolver::Enumeration => exact_semantics_part(part),
+                PartSolver::Sampling {
+                    samples,
+                    estimator,
+                    seed,
+                } => sample_semantics_part(
+                    part,
+                    SamplingConfig {
+                        samples,
+                        estimator,
+                        seed,
+                        threads: 1,
+                    },
+                ),
+                PartSolver::BitSampling { samples, seed } => WorldBank::new().part(
+                    part,
+                    BitSamplingConfig {
+                        samples,
+                        seed,
+                        threads: 1,
+                    },
+                ),
+            }
+            .unwrap()
+        })
+        .collect();
+    (combine_semantics_plan(&plan, solved), routes)
+}
+
+/// `answer` to the budgeted `query` on `g` equals [`reference_pipeline`]
+/// bit for bit.
+fn assert_matches_reference(g: &UncertainGraph, query: &PlannedQuery, answer: &ReliabilityAnswer) {
+    let (plain, routes) = reference_pipeline(g, query);
+    assert_same_bits(answer, &plain, query.semantics);
+    assert_eq!(answer.routes, routes, "{:?}", query.semantics);
+}
+
 #[test]
 fn classic_answers_are_bit_identical_under_instrumentation() {
-    // Tracing on top of metrics: the maximally-instrumented path.
-    let queries = traced_fixed_queries();
+    let queries = fixed_queries();
     let mut engine = Engine::new(EngineConfig::default());
     let id = engine.register("g", lollipop());
 
     let answers = engine.run_planned_batch(id, &queries).unwrap();
     for (q, a) in queries.iter().zip(&answers) {
-        let a = a.as_ref().unwrap();
-        assert_matches_one_shot(&lollipop(), q, a);
-        let trace = a.trace.as_ref().expect("traced query carries a span tree");
-        assert!(trace.find("query").is_some());
-        assert!(trace.find("combine").is_some(), "{:?}", q.semantics);
+        assert_matches_one_shot(&lollipop(), q, a.as_ref().unwrap());
     }
-    // The recorder actually recorded the traced batch.
+    // The recorder actually recorded the batch.
     let m = engine.metrics_snapshot();
     assert_eq!(m.queries_classic, queries.len() as u64);
     assert!(m.jobs > 0);
 }
 
 #[test]
-fn planned_answers_are_bit_identical_under_instrumentation_and_tracing() {
-    let cases = five_semantics();
-    // Separate engines, so the traced query cannot be served from the
-    // untraced one's cache entries.
-    let mut untraced = Engine::new(EngineConfig::default());
-    let uid = untraced.register("g", lollipop());
-    let mut traced = Engine::new(EngineConfig::default());
-    let tid = traced.register("g", lollipop());
+fn planned_answers_are_bit_identical_under_instrumentation() {
+    let mut engine = Engine::new(EngineConfig::default());
+    let id = engine.register("g", lollipop());
 
-    for (spec, terminals) in cases {
+    for (spec, terminals) in five_semantics() {
         let q =
             PlannedQuery::with_semantics(spec, terminals, sampling_cfg(11), PlanBudget::default());
-        let x = untraced.run_planned(uid, &q).unwrap();
-        let y = traced.run_planned(tid, &q.clone().with_trace()).unwrap();
-        assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{spec:?}");
-        assert_eq!(x.lower_bound.to_bits(), y.lower_bound.to_bits());
-        assert_eq!(x.upper_bound.to_bits(), y.upper_bound.to_bits());
-        assert_eq!(x.ci.lower.to_bits(), y.ci.lower.to_bits());
-        assert_eq!(x.ci.upper.to_bits(), y.ci.upper.to_bits());
-        assert_eq!(x.samples_used, y.samples_used);
-        assert_eq!(x.routes, y.routes);
-        assert!(x.trace.is_none(), "untraced query must not carry a trace");
-        let trace = y.trace.expect("traced query carries a span tree");
-        assert!(trace.find("query").is_some());
-        assert!(trace.find("combine").is_some(), "{spec:?}");
+        let a = engine.run_planned(id, &q).unwrap();
+        assert_matches_reference(&lollipop(), &q, &a);
     }
 }
 
 #[test]
-fn bit_sampling_path_is_bit_identical_under_instrumentation_and_tracing() {
+fn bit_sampling_path_is_bit_identical_under_instrumentation() {
     // A 45-clique routes to the bit-parallel sampler (frontier width > 40)
-    // for both plain and hop-bounded semantics; a traced query must return
-    // the untraced answer byte for byte while the recorder counts the
-    // packed route and its lane-utilization histogram.
-    let g = netrel_datasets::clique(45);
-    let mut untraced = Engine::new(EngineConfig::default());
-    let uid = untraced.register("clique45", g.clone());
-    let mut traced = Engine::new(EngineConfig::default());
-    let tid = traced.register("clique45", g);
-
-    for (spec, terminals) in [
-        (SemanticsSpec::KTerminal, vec![0, 44]),
-        (SemanticsSpec::DHop { d: 2 }, vec![0, 44]),
+    // for both plain and hop-bounded semantics; each answer must equal the
+    // engine-free pipeline byte for byte while the recorder counts the
+    // packed route and its lane-utilization histogram. At p = 0.4–0.59
+    // every drawn world connects the terminals, so the sparse p = 0.05
+    // clique is the input whose answers depend on the per-part seeds.
+    let mut engine = Engine::new(EngineConfig::default());
+    for g in [
+        netrel_datasets::clique(45),
+        netrel_datasets::clique_uniform(45, 0.05),
     ] {
-        let q =
-            PlannedQuery::with_semantics(spec, terminals, sampling_cfg(11), PlanBudget::default());
-        let x = untraced.run_planned(uid, &q).unwrap();
-        let y = traced.run_planned(tid, &q.clone().with_trace()).unwrap();
-        assert!(
-            x.routes.contains(&netrel_engine::Route::BitSampling),
-            "{spec:?} must route to the packed sampler: {:?}",
-            x.routes
-        );
-        assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{spec:?}");
-        assert_eq!(x.ci.lower.to_bits(), y.ci.lower.to_bits());
-        assert_eq!(x.ci.upper.to_bits(), y.ci.upper.to_bits());
-        assert_eq!(x.variance_estimate.to_bits(), y.variance_estimate.to_bits());
-        assert_eq!(x.samples_used, y.samples_used);
-        assert_eq!(x.routes, y.routes);
-        let trace = y.trace.expect("traced query carries a span tree");
-        let route_span = trace.find("route").expect("route span");
-        let routes_attr = route_span
-            .attrs
-            .iter()
-            .find(|(k, _)| k == "routes")
-            .expect("routes attribute");
-        assert!(
-            routes_attr.1.contains("bit_sampling"),
-            "trace must name the packed route: {routes_attr:?}"
-        );
+        let id = engine.register("clique45", g.clone());
+        for (spec, terminals) in [
+            (SemanticsSpec::KTerminal, vec![0, 44]),
+            (SemanticsSpec::DHop { d: 2 }, vec![0, 44]),
+        ] {
+            let q = PlannedQuery::with_semantics(
+                spec,
+                terminals,
+                sampling_cfg(11),
+                PlanBudget::default(),
+            );
+            let a = engine.run_planned(id, &q).unwrap();
+            assert!(
+                a.routes.contains(&Route::BitSampling),
+                "{spec:?} must route to the packed sampler: {:?}",
+                a.routes
+            );
+            assert_matches_reference(&g, &q, &a);
+        }
     }
-    let m = traced.metrics_snapshot();
+    let m = engine.metrics_snapshot();
     assert!(m.routes.bit_sampling >= 2, "{:?}", m.routes);
     assert!(
         m.bit_lane_utilization_percent.count >= 2,
@@ -185,52 +222,10 @@ fn bit_sampling_path_is_bit_identical_under_instrumentation_and_tracing() {
 }
 
 #[test]
-fn trace_spans_are_well_formed_and_round_trip_through_serde() {
-    use serde::Serialize as _;
-
-    let mut engine = Engine::new(EngineConfig::sequential());
-    let id = engine.register("g", lollipop());
-    let q = PlannedQuery::new(vec![0, 7], PlanBudget::default()).with_trace();
-    let a = engine.run_planned(id, &q).unwrap();
-    let trace = a.trace.expect("trace requested");
-
-    // Root first; every other span's parent is an earlier span; monotone
-    // local timestamps.
-    assert_eq!(trace.spans[0].name, "query");
-    assert!(trace.spans[0].parent.is_none());
-    for (i, s) in trace.spans.iter().enumerate().skip(1) {
-        let p = s.parent.expect("non-root spans have parents") as usize;
-        assert!(p < i, "parent {p} of span {i} must come earlier");
-        assert!(s.end_ns >= s.start_ns, "span {i} runs backwards");
-    }
-    for expected in [
-        "plan.k-terminal",
-        "route",
-        "cache.lookup",
-        "part.solve",
-        "combine",
-    ] {
-        assert!(trace.find(expected).is_some(), "missing span `{expected}`");
-    }
-
-    let json = serde_json::to_string(&trace.to_value()).unwrap();
-    let back: netrel_engine::QueryTrace = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.spans.len(), trace.spans.len());
-    assert_eq!(back.dropped, trace.dropped);
-    for (a, b) in trace.spans.iter().zip(&back.spans) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.start_ns, b.start_ns);
-        assert_eq!(a.end_ns, b.end_ns);
-        assert_eq!(a.parent, b.parent);
-        assert_eq!(a.attrs, b.attrs);
-    }
-}
-
-#[test]
 fn mutation_path_is_bit_identical_under_instrumentation() {
     use netrel_engine::Mutation;
 
-    // After each committed mutation, every traced answer equals the
+    // After each committed mutation, every answer equals the
     // one-shot pipeline on the engine's current graph; the what-if equals
     // it on the hypothetical graph; and the mutation counters move.
     let mutations = [
@@ -242,7 +237,7 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
         },
         Mutation::RemoveEdge { edge: 5 },
     ];
-    let queries = traced_fixed_queries();
+    let queries = fixed_queries();
     let mut engine = Engine::new(EngineConfig::default());
     let id = engine.register("g", lollipop());
 
@@ -282,8 +277,8 @@ fn worker_count_does_not_change_instrumented_answers() {
         plan_cache_capacity: 0,
     });
     let pid = par.register("g", lollipop());
-    let a = seq.run_planned(sid, &q.clone().with_trace()).unwrap();
-    let b = par.run_planned(pid, &q.with_trace()).unwrap();
+    let a = seq.run_planned(sid, &q).unwrap();
+    let b = par.run_planned(pid, &q).unwrap();
     assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
     assert_eq!(a.samples_used, b.samples_used);
     assert_eq!(a.routes, b.routes);

@@ -3,10 +3,8 @@
 //! The catalogue is a *fixed struct*, not a dynamic registry: every family
 //! the stack records is a named field of [`Metrics`], so a metric cannot be
 //! misspelled at a record site, and recording and snapshotting are plain
-//! field accesses with no map lookups. Families follow Prometheus naming
-//! (`netrel_<subsystem>_<name>[_total|_seconds]`) and the text exposition
-//! renders the standard `_bucket{le=…}` / `_sum` / `_count` triple per
-//! histogram.
+//! field accesses with no map lookups. [`MetricsSnapshot`] serializes each
+//! field under its own name, so the JSON keys are the catalogue.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -402,9 +400,8 @@ pub struct RouteCounts {
     pub enumeration: u64,
 }
 
-/// A frozen, serializable copy of the whole [`Metrics`] catalogue — the
-/// JSON side of the `metrics` exposition; [`MetricsSnapshot::to_prometheus`]
-/// renders the text side from the same data.
+/// A frozen, serializable copy of the whole [`Metrics`] catalogue: the JSON
+/// the service's `metrics` op returns.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct MetricsSnapshot {
     /// Queries answered through the classic path.
@@ -489,163 +486,6 @@ pub struct MetricsSnapshot {
     pub request_seconds: HistogramSnapshot,
 }
 
-impl MetricsSnapshot {
-    /// Render the snapshot in the Prometheus text exposition format
-    /// (`# TYPE` headers, `_total` counters, cumulative `_bucket{le=…}` /
-    /// `_sum` / `_count` triples per histogram).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        push_counter_family(
-            &mut out,
-            "netrel_queries_total",
-            &[
-                ("path", "classic", self.queries_classic),
-                ("path", "planned", self.queries_planned),
-            ],
-        );
-        push_counter(&mut out, "netrel_query_errors_total", self.query_errors);
-        push_counter(&mut out, "netrel_batches_total", self.batches);
-        push_histogram(&mut out, "netrel_plan_seconds", &self.plan_seconds);
-        push_histogram(&mut out, "netrel_combine_seconds", &self.combine_seconds);
-        push_histogram(&mut out, "netrel_parts_per_query", &self.parts_per_query);
-        push_histogram(
-            &mut out,
-            "netrel_index_build_seconds",
-            &self.index_build_seconds,
-        );
-        push_counter_family(
-            &mut out,
-            "netrel_mutations_total",
-            &[
-                ("op", "update_prob", self.mutations_update_prob),
-                ("op", "add_edge", self.mutations_add_edge),
-                ("op", "remove_edge", self.mutations_remove_edge),
-            ],
-        );
-        push_counter_family(
-            &mut out,
-            "netrel_index_maintenance_total",
-            &[
-                ("kind", "patched", self.index_patched),
-                ("kind", "rebuilt", self.index_rebuilt),
-            ],
-        );
-        push_counter_family(
-            &mut out,
-            "netrel_invalidations_total",
-            &[
-                ("target", "plans", self.invalidated_plans),
-                ("target", "worlds", self.invalidated_worlds),
-            ],
-        );
-        push_counter(&mut out, "netrel_whatif_queries_total", self.whatif_queries);
-        push_counter_family(
-            &mut out,
-            "netrel_planner_route_total",
-            &[
-                ("route", "exact", self.routes.exact),
-                ("route", "bounded", self.routes.bounded),
-                ("route", "sampling", self.routes.sampling),
-                ("route", "bit_sampling", self.routes.bit_sampling),
-                ("route", "enumeration", self.routes.enumeration),
-            ],
-        );
-        push_histogram(
-            &mut out,
-            "netrel_bit_lane_utilization_percent",
-            &self.bit_lane_utilization_percent,
-        );
-        push_counter(
-            &mut out,
-            "netrel_planner_node_cap_hits_total",
-            self.node_cap_hits,
-        );
-        push_histogram(
-            &mut out,
-            "netrel_planner_predicted_nodes",
-            &self.predicted_nodes,
-        );
-        push_histogram(&mut out, "netrel_planner_actual_nodes", &self.actual_nodes);
-        push_counter(&mut out, "netrel_cache_hits_total", self.cache_hits);
-        push_counter(&mut out, "netrel_cache_misses_total", self.cache_misses);
-        push_counter(
-            &mut out,
-            "netrel_cache_insertions_total",
-            self.cache_insertions,
-        );
-        push_counter(
-            &mut out,
-            "netrel_cache_evictions_total",
-            self.cache_evictions,
-        );
-        push_histogram(
-            &mut out,
-            "netrel_cache_eviction_age_ticks",
-            &self.cache_eviction_age,
-        );
-        push_counter(&mut out, "netrel_executor_jobs_total", self.jobs);
-        push_histogram(
-            &mut out,
-            "netrel_part_solve_seconds",
-            &self.part_solve_seconds,
-        );
-        push_histogram(
-            &mut out,
-            "netrel_queue_wait_seconds",
-            &self.queue_wait_seconds,
-        );
-        push_histogram(
-            &mut out,
-            "netrel_worker_busy_seconds",
-            &self.worker_busy_seconds,
-        );
-        push_counter_family(
-            &mut out,
-            "netrel_requests_total",
-            &[
-                ("op", "register", self.requests_register),
-                ("op", "query", self.requests_query),
-                ("op", "batch", self.requests_batch),
-                ("op", "stats", self.requests_stats),
-                ("op", "metrics", self.requests_metrics),
-                ("op", "mutate", self.requests_mutate),
-                ("op", "whatif", self.requests_whatif),
-                ("op", "maximize", self.requests_maximize),
-            ],
-        );
-        push_counter(&mut out, "netrel_request_errors_total", self.request_errors);
-        push_histogram(&mut out, "netrel_request_seconds", &self.request_seconds);
-        out
-    }
-}
-
-fn push_counter(out: &mut String, name: &str, value: u64) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn push_counter_family(out: &mut String, name: &str, series: &[(&str, &str, u64)]) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (label, value, count) in series {
-        let _ = writeln!(out, "{name}{{{label}=\"{value}\"}} {count}");
-    }
-}
-
-fn push_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    for (edge, count) in h.edges.iter().zip(&h.counts) {
-        cumulative = cumulative.saturating_add(*count);
-        let _ = writeln!(out, "{name}_bucket{{le=\"{edge}\"}} {cumulative}");
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-    let _ = writeln!(out, "{name}_sum {}", h.sum);
-    let _ = writeln!(out, "{name}_count {}", h.count);
-}
-
 /// A cloneable handle to a shared [`Metrics`] catalogue.
 ///
 /// Every engine records: the served path is the one that runs, so there is
@@ -726,59 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_renders_required_families() {
-        let m = Metrics::new();
-        m.queries_classic.inc();
-        m.route_sampling.add(3);
-        m.route_bit_sampling.add(4);
-        m.bit_lane_utilization_percent.observe(62.5);
-        m.cache_hits.add(2);
-        m.part_solve_seconds.observe(0.002);
-        m.mutations_update_prob.add(5);
-        m.index_rebuilt.add(2);
-        m.invalidated_worlds.add(9);
-        m.whatif_queries.add(6);
-        m.requests_mutate.add(8);
-        let text = m.snapshot().to_prometheus();
-        for family in [
-            "# TYPE netrel_queries_total counter",
-            "netrel_queries_total{path=\"classic\"} 1",
-            "netrel_planner_route_total{route=\"sampling\"} 3",
-            "netrel_planner_route_total{route=\"bit_sampling\"} 4",
-            "# TYPE netrel_bit_lane_utilization_percent histogram",
-            "netrel_bit_lane_utilization_percent_bucket{le=\"70\"} 1",
-            "netrel_cache_hits_total 2",
-            "# TYPE netrel_part_solve_seconds histogram",
-            "netrel_part_solve_seconds_bucket{le=\"+Inf\"} 1",
-            "netrel_part_solve_seconds_count 1",
-            "netrel_mutations_total{op=\"update_prob\"} 5",
-            "netrel_mutations_total{op=\"add_edge\"} 0",
-            "netrel_index_maintenance_total{kind=\"rebuilt\"} 2",
-            "netrel_invalidations_total{target=\"worlds\"} 9",
-            "netrel_whatif_queries_total 6",
-            "netrel_requests_total{op=\"mutate\"} 8",
-        ] {
-            assert!(text.contains(family), "missing `{family}` in:\n{text}");
-        }
-    }
-
-    #[test]
-    fn prometheus_buckets_are_cumulative() {
-        let h = Histogram::with_edges(&[1.0, 2.0]);
-        h.observe(0.5);
-        h.observe(1.5);
-        h.observe(5.0);
-        let m = Metrics::new();
-        // Render through a snapshot wearing this histogram's data.
-        let mut snap = m.snapshot();
-        snap.part_solve_seconds = h.snapshot();
-        let text = snap.to_prometheus();
-        assert!(text.contains("netrel_part_solve_seconds_bucket{le=\"1\"} 1"));
-        assert!(text.contains("netrel_part_solve_seconds_bucket{le=\"2\"} 2"));
-        assert!(text.contains("netrel_part_solve_seconds_bucket{le=\"+Inf\"} 3"));
-    }
-
-    #[test]
     fn snapshot_serializes_to_json() {
         use serde::Serialize as _;
         let m = Metrics::new();
@@ -807,17 +594,18 @@ mod tests {
 
     #[test]
     fn documented_catalogue_matches_the_exposition() {
+        use serde::Serialize as _;
         let doc = include_str!("../../../docs/observability.md");
         let section = doc
             .split("## Metric catalogue")
             .nth(1)
             .and_then(|rest| rest.split("\n## ").next())
             .expect("docs/observability.md has a metric catalogue section");
-        // Each table row is `| families | kind | meaning |`; a row may name
-        // several backticked families, each with an optional label set.
-        let documented: Vec<(&str, &str)> = section
+        // Each table row is `| names | kind | meaning |`; a row may name
+        // several backticked snapshot keys.
+        let documented: Vec<(String, &str)> = section
             .lines()
-            .filter(|row| row.starts_with("| `netrel_"))
+            .filter(|row| row.starts_with("| `"))
             .flat_map(|row| {
                 let cells: Vec<&str> = row.split(" | ").collect();
                 let kind = cells[1];
@@ -825,15 +613,29 @@ mod tests {
                     .split('`')
                     .skip(1)
                     .step_by(2)
-                    .map(move |f| (f.split('{').next().unwrap_or(f), kind))
+                    .map(move |name| (name.to_string(), kind))
             })
             .collect();
-        let text = Metrics::new().snapshot().to_prometheus();
-        let exposed: Vec<(&str, &str)> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .filter_map(|l| l.split_once(' '))
-            .collect();
+        // The snapshot's keys in wire order: an integer is a counter, an
+        // object with `counts` a histogram, and `routes` one counter per
+        // route.
+        let serde::Value::Map(fields) = Metrics::new().snapshot().to_value() else {
+            panic!("the snapshot is not an object");
+        };
+        let mut exposed: Vec<(String, &str)> = Vec::new();
+        for (key, value) in &fields {
+            match value {
+                serde::Value::U64(_) => exposed.push((key.clone(), "counter")),
+                serde::Value::Map(routes) if key == "routes" => {
+                    for (route, count) in routes {
+                        assert!(matches!(count, serde::Value::U64(_)), "{key}.{route}");
+                        exposed.push((format!("{key}.{route}"), "counter"));
+                    }
+                }
+                v if v.get("counts").is_some() => exposed.push((key.clone(), "histogram")),
+                other => panic!("`{key}` is neither a counter nor a histogram: {other:?}"),
+            }
+        }
         assert_eq!(documented, exposed);
     }
 }

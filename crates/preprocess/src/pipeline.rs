@@ -128,7 +128,6 @@ pub fn preprocess_with_index(
     // Phase 1: prune (terminal-dependent Steiner step over the shared
     // index's bridge forest).
     let (work_graph, work_terminals) = if cfg.prune {
-        let _span = netrel_obs::trace::span("preprocess.prune");
         let p = prune_with_index(g, index, &t);
         if p.trivially_zero {
             return Ok(Preprocessed {
@@ -161,13 +160,11 @@ pub fn preprocess_with_index(
     // fraction of the original. Without pruning the working graph *is* the
     // input graph and the index is reused directly.
     let (pb, raw_parts) = if cfg.decompose {
-        let span = netrel_obs::trace::span("preprocess.decompose");
         let d = if cfg.prune {
             decompose(&work_graph, &work_terminals)
         } else {
             decompose_with_index(&work_graph, index, &work_terminals)
         };
-        span.attr("parts", d.parts.len().to_string());
         (
             d.pb,
             d.parts
@@ -181,21 +178,18 @@ pub fn preprocess_with_index(
 
     // Phase 3: transform each part.
     let mut parts = Vec::with_capacity(raw_parts.len());
-    {
-        let _span = netrel_obs::trace::span("preprocess.transform");
-        for (graph, terminals) in raw_parts {
-            if cfg.transform {
-                let tr = transform(&graph, &terminals, cfg.prune_dangling);
-                stats.transform_rules += tr.rules_applied;
-                if tr.terminals.len() >= 2 {
-                    parts.push(Part {
-                        graph: tr.graph,
-                        terminals: tr.terminals,
-                    });
-                }
-            } else if terminals.len() >= 2 {
-                parts.push(Part { graph, terminals });
+    for (graph, terminals) in raw_parts {
+        if cfg.transform {
+            let tr = transform(&graph, &terminals, cfg.prune_dangling);
+            stats.transform_rules += tr.rules_applied;
+            if tr.terminals.len() >= 2 {
+                parts.push(Part {
+                    graph: tr.graph,
+                    terminals: tr.terminals,
+                });
             }
+        } else if terminals.len() >= 2 {
+            parts.push(Part { graph, terminals });
         }
     }
 

@@ -37,8 +37,6 @@ pub struct GraphIndex {
 impl GraphIndex {
     /// Compute the shared structure of `g` in `O(|V| + |E|)`.
     pub fn build(g: &UncertainGraph) -> Self {
-        let span = netrel_obs::trace::span("index.build");
-        span.attr("edges", g.num_edges().to_string());
         let cut = cut_structure(g);
         let ecc = two_edge_connected_components(g, &cut);
         let mut forest_adj = vec![Vec::new(); ecc.num_comps];
