@@ -843,6 +843,31 @@ mod tests {
     }
 
     #[test]
+    fn underflowing_series_product_is_answered_and_the_stream_goes_on() {
+        // The series rule at vertex 1 multiplies 1e-200 by 1e-200, which
+        // underflows to 0; the transform floors it, so every query answers
+        // 0.25 exactly and the next line is still served.
+        let mut s = Service::default();
+        let lines = [
+            r#"{"op":"register","name":"g","vertices":4,
+                "edges":[[0,1,1e-200],[1,2,1e-200],[2,3,0.5],[3,0,0.5]]}"#,
+            r#"{"op":"query","graph":"g","terminals":[0,2]}"#,
+            r#"{"op":"query","graph":"g","terminals":[0,2],"plan":true}"#,
+            r#"{"op":"query","graph":"g","terminals":[0,2],"semantics":"two-terminal"}"#,
+            r#"{"op":"stats"}"#,
+        ];
+        for line in lines {
+            let v = parse(&s.handle_line(line));
+            assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line}");
+            if line.contains(r#""op":"query""#) {
+                let answer = v.get("answer").expect("answer present");
+                assert_eq!(answer.get("estimate"), Some(&Value::F64(0.25)), "{line}");
+                assert_eq!(answer.get("exact"), Some(&Value::Bool(true)), "{line}");
+            }
+        }
+    }
+
+    #[test]
     fn stats_reports_cache_counters() {
         let mut s = service_with_graph();
         s.handle_line(r#"{"op":"query","graph":"g","terminals":[0,2],"samples":50}"#);

@@ -1,7 +1,7 @@
 //! The full preprocessing pipeline (paper Algorithm 3):
 //! prune → decompose → transform, with per-phase toggles for ablation.
 
-use crate::decompose::{decompose, decompose_with_index};
+use crate::decompose::{decompose_across, decompose_with_index};
 use crate::prune::prune_with_index;
 use crate::shared::GraphIndex;
 use crate::transform::transform;
@@ -127,7 +127,7 @@ pub fn preprocess_with_index(
 
     // Phase 1: prune (terminal-dependent Steiner step over the shared
     // index's bridge forest).
-    let (work_graph, work_terminals) = if cfg.prune {
+    let (work_graph, work_terminals, bridges) = if cfg.prune {
         let p = prune_with_index(g, index, &t);
         if p.trivially_zero {
             return Ok(Preprocessed {
@@ -137,9 +137,9 @@ pub fn preprocess_with_index(
                 stats,
             });
         }
-        (p.graph, p.terminals)
+        (p.graph, p.terminals, Some(p.bridges))
     } else {
-        (g.clone(), t.clone())
+        (g.clone(), t.clone(), None)
     };
     stats.pruned_edges = work_graph.num_edges();
 
@@ -154,16 +154,15 @@ pub fn preprocess_with_index(
         });
     }
 
-    // Phase 2: decompose. After pruning the working graph is a different
-    // (smaller, renumbered) graph, so the shared index no longer applies and
-    // the structure passes rerun on the residual graph — usually a tiny
-    // fraction of the original. Without pruning the working graph *is* the
-    // input graph and the index is reused directly.
+    // Phase 2: decompose. Prune's Steiner subtree already holds every bridge
+    // of the pruned graph, all of them relevant, so decompose factors across
+    // that list and builds no index of the pruned graph. Without pruning the
+    // working graph *is* the input graph and the shared index applies
+    // directly.
     let (pb, raw_parts) = if cfg.decompose {
-        let d = if cfg.prune {
-            decompose(&work_graph, &work_terminals)
-        } else {
-            decompose_with_index(&work_graph, index, &work_terminals)
+        let d = match &bridges {
+            Some(bridges) => decompose_across(&work_graph, &work_terminals, bridges),
+            None => decompose_with_index(&work_graph, index, &work_terminals),
         };
         (
             d.pb,

@@ -8,7 +8,7 @@
 
 use crate::shared::GraphIndex;
 use netrel_ugraph::steiner::steiner_subtree;
-use netrel_ugraph::{UncertainGraph, VertexId};
+use netrel_ugraph::{EdgeId, UncertainGraph, VertexId};
 
 /// Result of the prune phase.
 #[derive(Clone, Debug)]
@@ -19,6 +19,10 @@ pub struct Pruned {
     pub vertex_map: Vec<Option<VertexId>>,
     /// Terminals renumbered into the pruned graph.
     pub terminals: Vec<VertexId>,
+    /// The bridges on the Steiner subtree as edge ids of the pruned graph,
+    /// ascending. These are all of its bridges, and all of them are
+    /// relevant, so decompose factors across exactly this list.
+    pub bridges: Vec<EdgeId>,
     /// `true` when the terminals span multiple trees of the bridge forest —
     /// the reliability is identically zero.
     pub trivially_zero: bool,
@@ -69,10 +73,27 @@ pub fn prune_with_index(g: &UncertainGraph, index: &GraphIndex, terminals: &[Ver
         .iter()
         .map(|&t| vertex_map[t].expect("terminal components are always kept"))
         .collect();
+    // `induced_subgraph` keeps the edge order, so the bridges' new ids stay
+    // ascending.
+    let bridges = st
+        .keep_edge
+        .iter()
+        .map(|&b| {
+            let e = g.edge(b);
+            let (u, v) = (vertex_map[e.u], vertex_map[e.v]);
+            graph
+                .neighbors(u.expect("a kept bridge's endpoints are kept"))
+                .iter()
+                .find(|&&(w, _)| Some(w) == v)
+                .map(|&(_, id)| id)
+                .expect("a kept bridge is an edge of the pruned graph")
+        })
+        .collect();
     Pruned {
         graph,
         vertex_map,
         terminals,
+        bridges,
         trivially_zero,
     }
 }

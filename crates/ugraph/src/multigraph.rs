@@ -90,27 +90,20 @@ impl MultiGraph {
         removed
     }
 
-    /// Live incident edges of `v` as `(edge_id, other_endpoint)`; self-loops
-    /// appear once with `other == v`. Cleans tombstones from the adjacency
-    /// list as a side effect.
-    pub fn incident(&mut self, v: VertexId) -> Vec<(usize, VertexId)> {
+    /// Write the live incident edges of `v` into `out` (cleared first) as
+    /// `(edge_id, other_endpoint)`, in ascending edge id; a self-loop appears
+    /// once with `other == v`. Drops tombstones from `v`'s adjacency list as
+    /// a side effect.
+    pub fn incident_into(&mut self, v: VertexId, out: &mut Vec<(usize, VertexId)>) {
+        out.clear();
         let edges = &self.edges;
-        self.adj[v].retain(|&id| edges[id].is_some());
-        self.adj[v]
-            .iter()
-            .map(|&id| {
-                let e = self.edges[id].expect("retained edge is alive");
-                (id, if e.u == v { e.v } else { e.u })
-            })
-            .collect()
-    }
-
-    /// Degree of `v` counting live edges; a self-loop contributes 1 here
-    /// (the transform rules treat loops separately).
-    pub fn degree(&mut self, v: VertexId) -> usize {
-        let edges = &self.edges;
-        self.adj[v].retain(|&id| edges[id].is_some());
-        self.adj[v].len()
+        self.adj[v].retain(|&id| match edges[id] {
+            Some(e) => {
+                out.push((id, if e.u == v { e.v } else { e.u }));
+                true
+            }
+            None => false,
+        });
     }
 
     /// Iterate live edges as `(id, edge)`.
@@ -175,25 +168,32 @@ mod tests {
     #[test]
     fn parallel_edges_and_loops_allowed() {
         let mut mg = MultiGraph::new(2);
-        mg.add_edge(0, 1, 0.5);
-        mg.add_edge(0, 1, 0.7);
-        mg.add_edge(0, 0, 0.9);
+        let a = mg.add_edge(0, 1, 0.5);
+        let b = mg.add_edge(0, 1, 0.7);
+        let c = mg.add_edge(0, 0, 0.9);
         assert_eq!(mg.num_edges(), 3);
-        assert_eq!(mg.degree(0), 3);
-        assert_eq!(mg.degree(1), 2);
-        let inc: Vec<_> = mg.incident(0);
-        assert_eq!(inc.len(), 3);
-        assert!(inc.iter().any(|&(_, o)| o == 0), "loop reports itself");
+        let mut inc = Vec::new();
+        mg.incident_into(0, &mut inc);
+        assert_eq!(
+            inc,
+            [(a, 1), (b, 1), (c, 0)],
+            "ascending ids, loop reports itself once"
+        );
+        mg.incident_into(1, &mut inc);
+        assert_eq!(inc, [(a, 0), (b, 0)]);
     }
 
     #[test]
     fn incident_cleans_tombstones() {
         let mut mg = MultiGraph::new(2);
         let a = mg.add_edge(0, 1, 0.5);
-        mg.add_edge(0, 1, 0.6);
+        let b = mg.add_edge(0, 1, 0.6);
         mg.remove_edge(a);
-        assert_eq!(mg.incident(0).len(), 1);
-        assert_eq!(mg.degree(1), 1);
+        let mut inc = vec![(7, 7)];
+        mg.incident_into(0, &mut inc);
+        assert_eq!(inc, [(b, 1)], "the buffer is cleared first");
+        mg.incident_into(1, &mut inc);
+        assert_eq!(inc, [(b, 0)]);
     }
 
     #[test]
